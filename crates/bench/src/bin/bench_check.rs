@@ -362,6 +362,8 @@ fn check_bench(
                 // sums bitwise vs the blocking path at the same width.
                 "parallel_counts_exact",
                 "parallel_sums_exact",
+                // Scan canvas: one polygon pass per scan at any chunking.
+                "polygon_pass_once_per_scan",
             ] {
                 check_flags(rows, bench, key, &baseline, &fresh);
             }
@@ -463,6 +465,7 @@ mod tests {
         "compressed_counts_exact": true, "compressed_sums_exact": true,
         "pruned_counts_exact": true, "pruned_sums_exact": true,
         "parallel_counts_exact": true, "parallel_sums_exact": true,
+        "polygon_pass_once_per_scan": true,
         "counts_exact": true, "sums_within_tolerance": true
       }
     }"#;
@@ -572,7 +575,8 @@ mod tests {
                 "pruned_counts_exact",
                 "pruned_sums_exact",
                 "parallel_counts_exact",
-                "parallel_sums_exact"
+                "parallel_sums_exact",
+                "polygon_pass_once_per_scan"
             ]
         );
         let md = render_markdown(&rows, 0.25, false);

@@ -37,6 +37,11 @@
 //!    the same plan bit-for-bit; sums within f32 reassociation tolerance.
 //! 7. **Reader throughput**: processing-free chunked scans of both files,
 //!    documenting the positioned-read reader and the raw decode cost.
+//! 8. **One polygon pass per scan**: every arm records its polygon passes
+//!    (`polygon_passes`), and `polygon_pass_once_per_scan` holds when each
+//!    arm — whatever its chunk count — ran exactly the passes of the
+//!    in-memory execution of its plan (one per canvas tile, plus the
+//!    accurate outline pass).
 //!
 //! ```text
 //! bench_stream [--quick] [--reps N] [--out PATH]
@@ -334,6 +339,7 @@ fn main() {
     }
     let sums_close = max_sum_rel_err <= 1e-5;
     eprintln!("counts exact: {counts_exact}; max sum rel err: {max_sum_rel_err:.2e}");
+    let passes = |r: &Run| r.out.output.stats.passes;
 
     // ------------------------------------------------------ chunk-size grid
     let mut grid: Vec<(usize, Run)> = Vec::new();
@@ -357,6 +363,20 @@ fn main() {
     let best_fixed_ms = disk_plus_processing_ms(best_run);
     let within_20pct = planner_ms <= best_fixed_ms * 1.20;
     let prefetch_wins = disk_plus_processing_ms(&prefetch) < disk_plus_processing_ms(&blocking);
+    // The scan canvas absorbs every chunk before one polygon pass, so
+    // each arm's passes equal its plan's in-memory passes at any chunking.
+    let once_per_scan = [&prefetch, &blocking, &compressed]
+        .into_iter()
+        .chain(grid.iter().map(|(_, r)| r))
+        .all(|r| passes(r) == reference.stats.passes)
+        && [&pruned, &full_cols, &parallel, &sequential]
+            .iter()
+            .all(|r| passes(r) == reference_par.stats.passes);
+    eprintln!(
+        "polygon passes per scan: {} (in-memory {}) → once per scan: {once_per_scan}",
+        passes(&prefetch),
+        reference.stats.passes
+    );
     eprintln!(
         "planner chunk {planner_chunk} @ {planner_ms:.1} ms vs best fixed {best_chunk} @ \
          {best_fixed_ms:.1} ms → within 20%: {within_20pct}; prefetch beats blocking: \
@@ -409,6 +429,7 @@ fn main() {
         counts_exact,
         sums_close,
         max_sum_rel_err,
+        once_per_scan,
     );
     std::fs::write(Path::new(&out_path), &json).expect("write BENCH_stream.json");
     eprintln!("wrote {out_path}");
@@ -469,6 +490,7 @@ fn render_json(
     counts_exact: bool,
     sums_close: bool,
     max_sum_rel_err: f64,
+    once_per_scan: bool,
 ) -> String {
     let run_obj = |r: &Run| -> String {
         let st = &r.out.output.stats;
@@ -476,7 +498,8 @@ fn render_json(
             "{{\"disk_plus_processing_ms\": {:.2}, \"wall_ms\": {:.2}, \"total_ms\": {:.2}, \
              \"disk_wait_ms\": {:.2}, \"read_ms\": {:.2}, \"decode_ms\": {:.2}, \
              \"processing_ms\": {:.2}, \"transfer_ms\": {:.2}, \"read_bytes\": {}, \
-             \"chunk_rows\": {}, \"chunks\": {}, \"pool_workers\": {}}}",
+             \"chunk_rows\": {}, \"chunks\": {}, \"pool_workers\": {}, \
+             \"polygon_passes\": {}}}",
             disk_plus_processing_ms(r),
             r.wall_ms,
             st.total().as_secs_f64() * 1e3,
@@ -488,7 +511,8 @@ fn render_json(
             r.out.read_bytes,
             r.out.chunk_rows,
             r.out.chunks,
-            r.out.pool_workers
+            r.out.pool_workers,
+            st.passes
         )
     };
     let mut s = String::new();
@@ -627,6 +651,11 @@ fn render_json(
         s,
         "    \"parallel_counts_exact\": {}, \"parallel_sums_exact\": {},",
         warm.counts_exact, warm.sums_exact
+    );
+    let _ = writeln!(
+        s,
+        "    \"polygon_passes_per_scan\": {}, \"polygon_pass_once_per_scan\": {once_per_scan},",
+        prefetch.out.output.stats.passes
     );
     let _ = writeln!(
         s,

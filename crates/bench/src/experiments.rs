@@ -527,10 +527,11 @@ pub fn fig6(scale: Scale) -> Report {
 /// Fig. 13: disk-resident data (Twitter ⋈ Counties) — total time and
 /// processing-only time, run through the streaming out-of-core executor:
 /// the planner's batch model picks the chunk size (replacing the old
-/// hard-coded 250 k), the polygon side is prepared once, per-chunk
-/// outputs merge through the shared distributive-aggregate rule (counts
-/// AND sums — the old hand-rolled loop dropped sums), and the prefetch
-/// thread overlaps disk reads with processing. The `disk` column is the
+/// hard-coded 250 k), the polygon side is prepared once, every chunk
+/// folds into one scan canvas under the shared distributive-aggregate
+/// rule (counts AND sums — the old hand-rolled loop dropped sums) ahead
+/// of a single polygon pass, and the prefetching reader overlaps disk
+/// reads with processing. The `disk` column is the
 /// residual wait the prefetcher could not hide; `read` is the reader
 /// thread's (overlapped) wall time.
 pub fn fig13(scale: Scale) -> Report {

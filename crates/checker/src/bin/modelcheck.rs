@@ -163,6 +163,18 @@ fn main() -> ExitCode {
         &mut ok,
     );
     expect_caught(
+        "ring/ReplayArrivalOrder",
+        &RingModel::with_bug(2, 3, RingBug::ReplayArrivalOrder),
+        &ex,
+        &mut ok,
+    );
+    expect_caught(
+        "ring/ResolveBeforeLastChunk",
+        &RingModel::with_bug(2, 3, RingBug::ResolveBeforeLastChunk),
+        &ex,
+        &mut ok,
+    );
+    expect_caught(
         "shard/MergeBeforeJoin",
         &ShardModel::with_bug(2, 2, ShardBug::MergeBeforeJoin),
         &ex,

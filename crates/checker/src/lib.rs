@@ -9,14 +9,16 @@
 //! small protocols:
 //!
 //! 1. the **seq-tagged ring + reorder buffer** (no chunk lost, duplicated
-//!    or folded out of order) — [`models::RingModel`];
+//!    or folded out of order; the scan canvas replayed in chunk order and
+//!    resolved once, after the last chunk) — [`models::RingModel`];
 //! 2. the **shard merge** (accumulate races nothing, merge runs strictly
 //!    after the scope join) — [`models::ShardModel`];
 //! 3. the **FBO pool** (recycled canvases are exclusively owned and
 //!    cleared; the free list never aliases) — [`models::PoolModel`];
 //! 4. the **first-error shutdown** (any fault placement terminates, the
-//!    error wins over partial results, canvases and chunks are fully
-//!    accounted) — [`models::ErrModel`].
+//!    error wins over partial results, no resolve after an error, the
+//!    scan canvas and every chunk are fully accounted) —
+//!    [`models::ErrModel`].
 //!
 //! CI runs on few cores, where real interleavings rarely happen; the
 //! checker explores them *synthetically*. [`sched::Explorer`] drives each
@@ -26,8 +28,8 @@
 //!
 //! Trustworthiness is itself tested: every model carries seeded-bug
 //! variants (`RingBug`, `ShardBug`, `PoolBug`, `ErrBug`) re-creating real
-//! bugs — lost chunk, dropped seq tag, out-of-order fold,
-//! merge-before-join, shared-shard RMW, early recycle, double recycle,
+//! bugs — lost chunk, dropped seq tag, out-of-order fold, out-of-order
+//! canvas replay, resolve before the last chunk, merge-before-join, shared-shard RMW, early recycle, double recycle,
 //! skipped clear, fold-after-error, leaked canvas, swallowed error,
 //! missing shutdown unblock — and
 //! `tests/mutation_gate.rs` fails the build unless the checker catches

@@ -1,14 +1,16 @@
 //! Model of the streaming pool's **first-error shutdown** protocol.
 //!
 //! Mirrors the hardened error paths of `StreamingRasterJoin::execute`'s
-//! pool arm (`stream.rs`): the reader can fail (I/O error or contained
+//! pipeline (`stream.rs`): the reader can fail (I/O error or contained
 //! panic) by enqueueing `(seq, Err)` and stopping; a worker can fail by
 //! publishing an `Err` under its claimed sequence tag (containment
 //! guarantees *something* is always published — a worker that dies
 //! silently would wedge the reorder buffer); the consumer folds strictly
 //! ascending until the first error pops, then shuts the pipeline down by
 //! dropping the result receiver and its ring handle so every other
-//! thread unblocks and exits.
+//! thread unblocks and exits. After the scope join it resolves the scan
+//! canvas only if the scan was healthy, and returns the canvas to its
+//! pool on every path.
 //!
 //! # Checked invariants
 //!
@@ -19,8 +21,11 @@
 //!   swallows one would serve a silent partial aggregate);
 //! * **deterministic error prefix** — what *did* fold before the error
 //!   is exactly chunks `0..err_seq`, the same prefix every schedule;
-//! * **canvas accounting** — every canvas acquired by a worker is
-//!   released by shutdown, even on the error paths;
+//! * **canvas accounting** — the consumer-owned scan canvas is returned
+//!   to its pool on every exit path, error paths included;
+//! * **no resolve on error** — the scan's one polygon pass runs only
+//!   after a healthy last chunk, over every chunk; a failed or
+//!   cancelled scan never resolves;
 //! * **chunk conservation** — every chunk the reader fetched is folded,
 //!   discarded by the shutdown, or still accounted in a buffer: none
 //!   vanish.
@@ -62,7 +67,7 @@ pub enum ErrBug {
     /// error (the `while first_err.is_none()` guard dropped): partial
     /// results win over the error.
     FoldAfterError,
-    /// A failing worker skips its canvas release on the error path.
+    /// The consumer skips returning the scan canvas on the error path.
     LeakCanvasOnError,
     /// A worker drops an `Err` stolen off the ring instead of
     /// forwarding it: the scan ends clean-but-short — a silent partial
@@ -82,12 +87,9 @@ enum WorkerState {
     /// Waiting to steal the next fetched chunk off the ring.
     Steal,
     /// Holding a finished (or failed) chunk, about to publish it.
-    /// `canvas` marks whether this result holds a pool canvas (a stolen
-    /// `Ok` chunk being joined — forwarded reader errors never do).
     Publish {
         seq: u64,
         res: ChunkRes,
-        canvas: bool,
     },
     Finished,
 }
@@ -132,8 +134,11 @@ pub struct ErrModel {
     sent_err: bool,
 
     worker_states: Vec<WorkerState>,
-    /// Canvases acquired by workers and not yet released.
-    canvases: usize,
+    /// The scan canvas is checked out of its pool (acquired with the
+    /// sample, returned after the scope join).
+    canvas_out: bool,
+    /// The canvas contents (folded chunk ids) at each resolve.
+    resolves: Vec<Vec<u64>>,
     /// Ok chunks a worker discarded because the consumer had already
     /// shut the result channel.
     discarded_ok: u64,
@@ -188,7 +193,8 @@ impl ErrModel {
             sent_ok: 0,
             sent_err: false,
             worker_states: vec![WorkerState::Steal; workers],
-            canvases: 0,
+            canvas_out: false,
+            resolves: Vec::new(),
             discarded_ok: 0,
             failed_ok: 0,
             worker_errored: false,
@@ -285,10 +291,9 @@ impl ErrModel {
         match self.worker_states[w] {
             WorkerState::Steal => match self.work.try_recv() {
                 TryRecv::Got((seq, Ok(chunk))) => {
-                    // Decode + join: the worker acquires a canvas. The
-                    // injected worker fault fails this seq's join; the
-                    // contained panic still publishes under the tag.
-                    self.canvases += 1;
+                    // Decode + point pass. The injected worker fault fails
+                    // this seq's pass; the contained panic still publishes
+                    // under the tag.
                     let res = if self.fault == (FaultAt::Worker { on_seq: seq }) {
                         self.worker_errored = true;
                         self.failed_ok += 1;
@@ -296,11 +301,7 @@ impl ErrModel {
                     } else {
                         Ok(chunk)
                     };
-                    self.worker_states[w] = WorkerState::Publish {
-                        seq,
-                        res,
-                        canvas: true,
-                    };
+                    self.worker_states[w] = WorkerState::Publish { seq, res };
                     Step::Ran
                 }
                 TryRecv::Got((seq, Err(()))) => {
@@ -308,11 +309,7 @@ impl ErrModel {
                         // Seeded bug: the error is dropped on the floor.
                         return Step::Ran;
                     }
-                    self.worker_states[w] = WorkerState::Publish {
-                        seq,
-                        res: Err(()),
-                        canvas: false,
-                    };
+                    self.worker_states[w] = WorkerState::Publish { seq, res: Err(()) };
                     Step::Ran
                 }
                 TryRecv::Empty => Step::Blocked,
@@ -321,13 +318,7 @@ impl ErrModel {
                     Step::Ran
                 }
             },
-            WorkerState::Publish { seq, res, canvas } => {
-                // Release the canvas at publish — on the error path too,
-                // unless the seeded leak bug is armed.
-                if canvas && !(res.is_err() && self.bug == ErrBug::LeakCanvasOnError) {
-                    debug_assert!(self.canvases > 0);
-                    self.canvases -= 1;
-                }
+            WorkerState::Publish { seq, res } => {
                 match self.results.try_send((seq, res)) {
                     TrySend::Sent => {
                         self.worker_states[w] = WorkerState::Steal;
@@ -353,8 +344,10 @@ impl ErrModel {
     fn step_consumer(&mut self) -> Step {
         match self.consumer {
             ConsumerState::Sample => {
-                // The sample chunk is seq 0, joined on the consumer
-                // thread while the pool already runs behind it.
+                // The scan canvas is acquired and the sample chunk (seq
+                // 0) processed on the consumer thread while the pool
+                // already runs behind it.
+                self.canvas_out = true;
                 self.fold(0);
                 let _ = self.reorder.insert(0, Ok(0));
                 let _ = self.reorder.pop_next(); // advance past seq 0
@@ -414,6 +407,15 @@ impl ErrModel {
                     .iter()
                     .all(|s| *s == WorkerState::Finished);
                 if self.reader_finished && workers_done {
+                    // After the join: resolve a healthy scan once, then
+                    // return the canvas — on the error paths too, unless
+                    // the seeded leak bug is armed.
+                    if !self.first_err && !self.cancelled {
+                        self.resolves.push(self.folded.clone());
+                    }
+                    if !(self.first_err && self.bug == ErrBug::LeakCanvasOnError) {
+                        self.canvas_out = false;
+                    }
                     self.consumer = ConsumerState::Finished;
                     Step::Ran
                 } else {
@@ -469,11 +471,8 @@ impl Model for ErrModel {
     }
 
     fn check_final(&self) -> Result<(), String> {
-        if self.canvases != 0 {
-            return Err(format!(
-                "{} canvas(es) never returned to the pool after shutdown",
-                self.canvases
-            ));
+        if self.canvas_out {
+            return Err("the scan canvas was never returned to the pool after shutdown".into());
         }
         // An injected error must be reported — unless the consumer
         // cancelled first, in which case the cancellation is the result.
@@ -484,6 +483,19 @@ impl Model for ErrModel {
                  (silent partial aggregate)"
                     .into(),
             );
+        }
+        let healthy = !self.first_err && !self.cancelled;
+        let want: Vec<Vec<u64>> = if healthy {
+            vec![(0..=self.chunks).collect()]
+        } else {
+            Vec::new()
+        };
+        if self.resolves != want {
+            return Err(format!(
+                "resolve mismatch: resolved {:?}, expected {want:?} (one resolve over every \
+                 chunk, none after an error)",
+                self.resolves
+            ));
         }
         // The fold is the exact deterministic prefix: everything before
         // the error (or the cancellation point), nothing after.

@@ -1,6 +1,6 @@
 //! Model of the streaming pool's seq-tagged ring + reorder buffer.
 //!
-//! Mirrors `StreamingRasterJoin::execute`'s pool path (`stream.rs`):
+//! Mirrors `StreamingRasterJoin::execute`'s pipeline (`stream.rs`):
 //!
 //! * **reader** (thread 0) — fetches chunks `1..=chunks`, tagging each
 //!   with its sequence number, into a bounded work ring
@@ -12,8 +12,10 @@
 //!   their result sender and finish;
 //! * **consumer** (last thread) — processes the sample chunk (seq 0)
 //!   first, exactly like the production consumer, then drains the result
-//!   channel through a [`Reorder`] buffer, folding strictly in ascending
-//!   sequence order.
+//!   channel through a [`Reorder`] buffer: each released chunk's canvas
+//!   entries are replayed into the scan canvas and its slots folded,
+//!   strictly in ascending sequence order. Once every worker has hung up
+//!   it resolves the canvas — the scan's one polygon pass.
 //!
 //! # Checked invariants
 //!
@@ -21,6 +23,11 @@
 //! * the fold order is **ascending chunk order** — the bitwise-determinism
 //!   precondition: `AggregateMerger` folds f32/f64 sums, so a reordered
 //!   fold would change results run-to-run;
+//! * the canvas replay order is ascending chunk order too (the scan
+//!   canvas sums `f64`s per pixel, so a reordered replay would change
+//!   results run-to-run);
+//! * the canvas is resolved **exactly once, after the last chunk**:
+//!   nothing replays after the resolve, and the resolve sees every chunk;
 //! * the pipeline never deadlocks (ring capacity vs. worker count).
 //!
 //! # Seeded bugs (mutation gate)
@@ -48,6 +55,14 @@ pub enum RingBug {
     /// reorder buffer: the "out-of-order fold" bug. Any schedule where a
     /// later chunk finishes first breaks ascending fold order.
     FoldArrivalOrder,
+    /// The consumer replays canvas entries as results *arrive* (the slot
+    /// fold still goes through the reorder buffer): the scan canvas sums
+    /// in a schedule-dependent order.
+    ReplayArrivalOrder,
+    /// The consumer resolves the canvas the first time the result channel
+    /// is momentarily empty instead of once it disconnects: the polygon
+    /// pass runs before the last chunk has been replayed.
+    ResolveBeforeLastChunk,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +100,10 @@ pub struct RingModel {
     consumer_finished: bool,
     /// Chunk ids in fold order — the observable output.
     pub folded: Vec<u64>,
+    /// Chunk ids in canvas-replay order.
+    pub replayed: Vec<u64>,
+    /// The canvas contents (replayed chunk ids) at each resolve.
+    pub resolves: Vec<Vec<u64>>,
     /// Set when a seq tag collides in the reorder buffer (duplicate tag).
     tag_collision: bool,
 }
@@ -113,6 +132,8 @@ impl RingModel {
             reorder: Reorder::new(0),
             consumer_finished: false,
             folded: Vec::new(),
+            replayed: Vec::new(),
+            resolves: Vec::new(),
             tag_collision: false,
         }
     }
@@ -122,9 +143,14 @@ impl RingModel {
     }
 
     fn fold(&mut self, seq: u64, chunk: u64) {
+        if self.bug == RingBug::ReplayArrivalOrder {
+            // Seeded bug: replay as the result arrives.
+            self.replayed.push(chunk);
+        }
         if self.bug == RingBug::FoldArrivalOrder {
             // Seeded bug: bypass the reorder buffer.
             self.folded.push(chunk);
+            self.replayed.push(chunk);
             return;
         }
         if !self.reorder.insert(seq, chunk) {
@@ -132,8 +158,16 @@ impl RingModel {
             return;
         }
         while let Some(c) = self.reorder.pop_next() {
+            if self.bug != RingBug::ReplayArrivalOrder {
+                self.replayed.push(c);
+            }
             self.folded.push(c);
         }
+    }
+
+    /// The scan's one polygon pass reads the canvas as replayed so far.
+    fn resolve(&mut self) {
+        self.resolves.push(self.replayed.clone());
     }
 
     fn step_reader(&mut self) -> Step {
@@ -210,8 +244,18 @@ impl RingModel {
                 self.fold(seq, chunk);
                 Step::Ran
             }
+            TryRecv::Empty
+                if self.bug == RingBug::ResolveBeforeLastChunk && self.resolves.is_empty() =>
+            {
+                // Seeded bug: "nothing pending" taken for "scan done".
+                self.resolve();
+                Step::Ran
+            }
             TryRecv::Empty => Step::Blocked,
             TryRecv::Disconnected => {
+                if self.resolves.is_empty() {
+                    self.resolve();
+                }
                 self.consumer_finished = true;
                 Step::Ran
             }
@@ -246,6 +290,21 @@ impl Model for RingModel {
                 self.folded
             ));
         }
+        if self.replayed.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "out-of-order replay: canvas entries replayed as {:?}",
+                self.replayed
+            ));
+        }
+        if let Some(first) = self.resolves.first() {
+            if self.replayed.len() > first.len() {
+                return Err(format!(
+                    "replayed after the resolve: the polygon pass saw {first:?}, \
+                     the canvas went on to {:?}",
+                    self.replayed
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -259,6 +318,12 @@ impl Model for RingModel {
         }
         if self.reorder.pending_len() != 0 {
             return Err("chunks stranded in the reorder buffer".into());
+        }
+        if self.resolves != [expect] {
+            return Err(format!(
+                "resolve mismatch: resolved {:?}, expected one resolve after every chunk",
+                self.resolves
+            ));
         }
         Ok(())
     }
@@ -274,6 +339,8 @@ mod tests {
         let mut m = RingModel::new(1, 3);
         assert!(finish(&mut m).is_ok());
         assert_eq!(m.folded, vec![0, 1, 2, 3]);
+        assert_eq!(m.replayed, vec![0, 1, 2, 3]);
+        assert_eq!(m.resolves, vec![vec![0, 1, 2, 3]]);
     }
 
     #[test]

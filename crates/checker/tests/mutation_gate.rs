@@ -65,6 +65,24 @@ fn gate_dropped_seq_tag_is_caught() {
 }
 
 #[test]
+fn gate_replay_in_arrival_order_is_caught() {
+    assert_caught(
+        &RingModel::with_bug(2, 3, RingBug::ReplayArrivalOrder),
+        "out-of-order replay",
+        "ring/ReplayArrivalOrder",
+    );
+}
+
+#[test]
+fn gate_resolve_before_last_chunk_is_caught() {
+    assert_caught(
+        &RingModel::with_bug(2, 3, RingBug::ResolveBeforeLastChunk),
+        "replayed after the resolve",
+        "ring/ResolveBeforeLastChunk",
+    );
+}
+
+#[test]
 fn gate_double_recycled_fbo_is_caught() {
     assert_caught(
         &PoolModel::with_bug(2, 2, PoolBug::DoubleRecycle),

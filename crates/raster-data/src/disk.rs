@@ -1896,7 +1896,7 @@ mod tests {
 
     #[test]
     fn empty_table_roundtrips() {
-        let path = tmp("empty.bin");
+        let path = tmp("empty-roundtrip.bin");
         let t = PointTable::with_capacity(0, &["x"]);
         write_table(&path, &t).unwrap();
         let mut r = ChunkedReader::open(&path, 10).unwrap();

@@ -140,6 +140,23 @@ pub struct BinnedBatch {
 }
 
 impl BinnedBatch {
+    /// The entries of a single-tile canvas, already classified by the
+    /// caller (pixel indices plus values, the latter empty for COUNT-only
+    /// queries).
+    pub fn from_tile(idx: Vec<u32>, values: Vec<f32>) -> Self {
+        debug_assert!(values.is_empty() || values.len() == idx.len());
+        BinnedBatch {
+            offsets: vec![0, idx.len() as u32],
+            idx,
+            values,
+        }
+    }
+
+    /// Canvas tiles the entries are grouped by.
+    pub fn tile_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     /// Total entries across all tiles (= points accepted by some tile).
     pub fn len(&self) -> usize {
         self.idx.len()
@@ -407,19 +424,9 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 fn bin_one<E: FnMut(usize, u32)>(tiling: &CanvasTiling, geom: &BinGeom, p: Point, mut emit: E) {
     let sx = (p.x - geom.min_x) * geom.inv_pw;
     let sy = (p.y - geom.min_y) * geom.inv_ph;
-    if sx.is_nan() || sy.is_nan() {
-        // NaN coordinates defeat candidate arithmetic (casts saturate to
-        // 0), and the rescan path's `pixel_of` accepts NaN into pixel
-        // (0, 0) of *every* tile (`NaN < 0.0` is false, `NaN as u32` is
-        // 0). Garbage in, garbage out — but equivalently on both paths:
-        // probe every tile, exactly as the rescan does.
-        for (ti, pb) in geom.probes.iter().enumerate() {
-            if let Some((x, y)) = pb.pixel_of(p) {
-                emit(ti, y * pb.width() + x);
-            }
-        }
-        return;
-    }
+    // NaN coordinates pass the range test below and cast to candidate
+    // tile (0, 0), whose authoritative `pixel_of` then clips them, exactly
+    // as the rescan path does.
     if sx < -0.5 || sy < -0.5 || sx > geom.width + 0.5 || sy > geom.height + 0.5 {
         return; // clearly outside the canvas: clipped
     }

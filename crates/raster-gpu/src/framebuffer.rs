@@ -186,6 +186,147 @@ impl PointFbo {
     }
 }
 
+/// The read side of one canvas tile: the per-pixel partial aggregates the
+/// polygon pass (Procedure DrawPolygons) folds into result slots. Both
+/// the per-batch [`PointFbo`] and a streamed scan's [`ScanTile`]
+/// implement it, so one polygon pass serves both.
+pub trait PixelPartials: Sync {
+    /// Σ count over the pixel span `[x0, x1) × {y}`.
+    fn span_count(&self, y: u32, x0: u32, x1: u32) -> u64;
+    /// `(Σ count, Σ sum)` over the pixel span `[x0, x1) × {y}`.
+    fn span_totals(&self, y: u32, x0: u32, x1: u32) -> (u64, f64);
+    /// `(count, sum)` of one pixel.
+    fn partials_at(&self, x: u32, y: u32) -> (u32, f64);
+}
+
+impl PixelPartials for PointFbo {
+    #[inline]
+    fn span_count(&self, y: u32, x0: u32, x1: u32) -> u64 {
+        PointFbo::span_count(self, y, x0, x1)
+    }
+
+    #[inline]
+    fn span_totals(&self, y: u32, x0: u32, x1: u32) -> (u64, f64) {
+        PointFbo::span_totals(self, y, x0, x1)
+    }
+
+    #[inline]
+    fn partials_at(&self, x: u32, y: u32) -> (u32, f64) {
+        let c = self.count_at(x, y);
+        (
+            c,
+            if c == 0 {
+                0.0
+            } else {
+                self.sum_at(x, y) as f64
+            },
+        )
+    }
+}
+
+/// One tile of a [`ScanCanvas`]: plain (non-atomic) per-pixel `u32`
+/// counts and `f64` sums. The sum channel is empty for COUNT-only scans.
+pub struct ScanTile {
+    width: u32,
+    counts: Vec<u32>,
+    sums: Vec<f64>,
+}
+
+impl ScanTile {
+    #[inline]
+    fn row(&self, y: u32, x0: u32, x1: u32) -> std::ops::Range<usize> {
+        let base = y as usize * self.width as usize;
+        base + x0 as usize..base + x1 as usize
+    }
+}
+
+impl PixelPartials for ScanTile {
+    #[inline]
+    fn span_count(&self, y: u32, x0: u32, x1: u32) -> u64 {
+        self.counts[self.row(y, x0, x1)]
+            .iter()
+            .map(|&c| c as u64)
+            .sum()
+    }
+
+    #[inline]
+    fn span_totals(&self, y: u32, x0: u32, x1: u32) -> (u64, f64) {
+        let r = self.row(y, x0, x1);
+        let mut cnt = 0u64;
+        let mut sum = 0f64;
+        for (&c, &s) in self.counts[r.clone()].iter().zip(&self.sums[r]) {
+            if c != 0 {
+                cnt += c as u64;
+                sum += s;
+            }
+        }
+        (cnt, sum)
+    }
+
+    #[inline]
+    fn partials_at(&self, x: u32, y: u32) -> (u32, f64) {
+        let i = y as usize * self.width as usize + x as usize;
+        (self.counts[i], self.sums.get(i).copied().unwrap_or(0.0))
+    }
+}
+
+/// The scan-wide canvas of a streamed scan: one [`ScanTile`] per canvas
+/// tile, owned by the scan's single folding consumer.
+///
+/// The §5 combination rule makes the point canvas additive for
+/// distributive aggregates, so one canvas can absorb every chunk of a
+/// table before a single polygon pass. The consumer [`replay`]s each
+/// chunk's binned entries in chunk order, so the canvas holds the same
+/// values whatever order pool workers finished in; sums are `f64`
+/// because one canvas now absorbs the whole table instead of one
+/// device batch. No atomics: only the consumer ever writes.
+///
+/// [`replay`]: ScanCanvas::replay
+pub struct ScanCanvas {
+    tiles: Vec<ScanTile>,
+}
+
+impl ScanCanvas {
+    /// A cleared canvas with one `width × height` tile per entry of
+    /// `shapes`; `with_sums` allocates the sum channel.
+    pub fn new(shapes: impl IntoIterator<Item = (u32, u32)>, with_sums: bool) -> Self {
+        ScanCanvas {
+            tiles: shapes
+                .into_iter()
+                .map(|(width, height)| {
+                    let n = width as usize * height as usize;
+                    ScanTile {
+                        width,
+                        counts: vec![0; n],
+                        sums: if with_sums { vec![0.0; n] } else { Vec::new() },
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// Fold one chunk's entries in, in their (row) order: count += 1 and
+    /// sum += value per entry.
+    pub fn replay(&mut self, entries: &crate::BinnedBatch) {
+        debug_assert_eq!(entries.tile_count(), self.tiles.len());
+        for (ti, tile) in self.tiles.iter_mut().enumerate() {
+            let (idx, vals) = entries.tile(ti);
+            for &pix in idx {
+                tile.counts[pix as usize] += 1;
+            }
+            if let Some(vals) = vals.filter(|_| !tile.sums.is_empty()) {
+                for (&pix, &v) in idx.iter().zip(vals) {
+                    tile.sums[pix as usize] += v as f64;
+                }
+            }
+        }
+    }
+
+    pub fn tile(&self, ti: usize) -> &ScanTile {
+        &self.tiles[ti]
+    }
+}
+
 /// Private per-worker count/sum accumulation buffers for one FBO-sized
 /// canvas, merged into the canonical [`PointFbo`] after the point scan.
 ///
@@ -359,11 +500,12 @@ impl ShardSet {
 /// across `glClear` calls rather than reallocating textures.
 ///
 /// Both free lists sit behind `parking_lot` mutexes, so a prepared
-/// executor shared across the streaming chunk pool's workers hands out
-/// buffers safely: each worker `acquire`s a private FBO (or
-/// [`ShardSet`]) for the tile it is blending, and ownership is exclusive
-/// until `release` — the locks guard only the free lists, never the
-/// pixels, so concurrent chunks never contend on buffer contents.
+/// executor shared across threads hands out buffers safely: each caller
+/// `acquire`s a private FBO (or [`ShardSet`]) for the tile it is
+/// blending, and ownership is exclusive until `release` — the locks guard
+/// only the free lists, never the pixels, so concurrent batches never
+/// contend on buffer contents. A streamed scan's [`ScanCanvas`] is
+/// accounted here too ([`FboPool::acquire_scan`]).
 #[derive(Default)]
 pub struct FboPool {
     fbos: parking_lot::Mutex<Vec<PointFbo>>,
@@ -435,6 +577,24 @@ impl FboPool {
 
     pub fn release_shards(&self, set: ShardSet) {
         self.shards.lock().push(set);
+        self.outstanding.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// A fresh [`ScanCanvas`], counted as outstanding until
+    /// [`FboPool::release_scan`]. A scan canvas lives for one scan, so it
+    /// is freed on release rather than recycled; the pool only accounts
+    /// it, so a streamed scan's shutdown is audited like every pass.
+    pub fn acquire_scan(
+        &self,
+        shapes: impl IntoIterator<Item = (u32, u32)>,
+        with_sums: bool,
+    ) -> ScanCanvas {
+        self.outstanding.fetch_add(1, Ordering::AcqRel);
+        ScanCanvas::new(shapes, with_sums)
+    }
+
+    pub fn release_scan(&self, canvas: ScanCanvas) {
+        drop(canvas);
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -704,6 +864,46 @@ mod tests {
         let fbo = PointFbo::new(8, 8);
         s2.merge_into(&fbo, 1);
         assert_eq!(fbo.total_count(), 0);
+    }
+
+    #[test]
+    fn scan_canvas_replays_entries_in_order_and_reads_like_an_fbo() {
+        use crate::BinnedBatch;
+        let mut canvas = ScanCanvas::new([(4, 2)], true);
+        canvas.replay(&BinnedBatch::from_tile(vec![1, 1, 6], vec![0.5, 2.0, -1.0]));
+        canvas.replay(&BinnedBatch::from_tile(vec![6], vec![3.0]));
+        let fbo = PointFbo::new(4, 2);
+        for (pix, v) in [(1, 0.5), (1, 2.0), (6, -1.0), (6, 3.0)] {
+            fbo.blend_add_idx(pix, v);
+        }
+        let tile = canvas.tile(0);
+        for y in 0..2 {
+            assert_eq!(
+                tile.span_count(y, 0, 4),
+                PixelPartials::span_count(&fbo, y, 0, 4)
+            );
+            assert_eq!(
+                tile.span_totals(y, 0, 4),
+                PixelPartials::span_totals(&fbo, y, 0, 4)
+            );
+            for x in 0..4 {
+                assert_eq!(tile.partials_at(x, y), fbo.partials_at(x, y), "({x},{y})");
+            }
+        }
+        // COUNT-only canvases carry no sum channel.
+        let mut counts = ScanCanvas::new([(4, 2)], false);
+        counts.replay(&BinnedBatch::from_tile(vec![3, 3], Vec::new()));
+        assert_eq!(counts.tile(0).partials_at(3, 0), (2, 0.0));
+    }
+
+    #[test]
+    fn pool_accounts_scan_canvases() {
+        let pool = FboPool::new();
+        let c = pool.acquire_scan([(8, 8), (8, 4)], false);
+        assert_eq!(c.tile(1).span_count(3, 0, 8), 0);
+        assert_eq!(pool.outstanding(), 1);
+        pool.release_scan(c);
+        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]

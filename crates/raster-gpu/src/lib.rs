@@ -12,8 +12,9 @@
 //!   per-tile rescans of the multi-canvas path (Fig. 5);
 //! * [`framebuffer`] — FBOs with additive blending, atomically updatable
 //!   (the paper's `Fpt` count/sum FBO and the boundary FBO), plus the
-//!   sharded accumulation path ([`framebuffer::ShardSet`]) and the
-//!   allocation-recycling [`framebuffer::FboPool`];
+//!   sharded accumulation path ([`framebuffer::ShardSet`]), the
+//!   allocation-recycling [`framebuffer::FboPool`] and a streamed scan's
+//!   consumer-owned [`framebuffer::ScanCanvas`];
 //! * [`raster`] — point, triangle (pixel-center sampling + top-left fill
 //!   rule, i.e. the OpenGL rasterization contract the error analysis of
 //!   §4.2 depends on) and conservative rasterization (§6.1 uses the
@@ -35,7 +36,7 @@ pub mod viewport;
 
 pub use bin::{bin_points, BinnedBatch, CanvasTiling, RasterConfig, SHARD_MIN_DENSITY};
 pub use device::{Device, DeviceConfig, TransferStats};
-pub use framebuffer::{BoundaryFbo, FboPool, PointFbo, ShardSet};
+pub use framebuffer::{BoundaryFbo, FboPool, PixelPartials, PointFbo, ScanCanvas, ShardSet};
 pub use mrt::MrtFbo;
 pub use ssbo::{AtomicF64Array, AtomicU64Array};
 pub use viewport::Viewport;

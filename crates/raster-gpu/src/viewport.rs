@@ -47,23 +47,19 @@ impl Viewport {
     }
 
     /// Pixel containing the world point, or `None` when the point falls
-    /// outside the viewport (the pipeline's clipping stage).
+    /// outside the viewport (the pipeline's clipping stage). Non-finite
+    /// coordinates are clipped too: the range tests are written so that a
+    /// NaN fails them (`NaN >= 0.0` is false), where `NaN < 0.0` would
+    /// pass it on and `NaN as u32 == 0` would land it in pixel (0, 0).
     pub fn pixel_of(&self, p: Point) -> Option<(u32, u32)> {
         let (sx, sy) = self.to_screen(p);
-        if sx < 0.0 || sy < 0.0 {
-            return None;
+        if sx >= 0.0 && sy >= 0.0 {
+            let (px, py) = (sx as u32, sy as u32);
+            if px < self.width && py < self.height {
+                return Some((px, py));
+            }
         }
-        let (px, py) = (sx as u32, sy as u32);
-        // Points exactly on the max edge belong to the last pixel.
-        let px = if px == self.width && sx == self.width as f64 {
-            return None;
-        } else {
-            px
-        };
-        if px >= self.width || py >= self.height {
-            return None;
-        }
-        Some((px, py))
+        None
     }
 
     /// World-space center of pixel `(x, y)` — the rasterization sample
@@ -164,18 +160,18 @@ pub struct PixelProbe {
 }
 
 impl PixelProbe {
+    /// [`Viewport::pixel_of`] with hoisted divisors (NaN-safe the same way).
     #[inline]
     pub fn pixel_of(&self, p: Point) -> Option<(u32, u32)> {
         let sx = (p.x - self.min_x) / self.pw;
         let sy = (p.y - self.min_y) / self.ph;
-        if sx < 0.0 || sy < 0.0 {
-            return None;
+        if sx >= 0.0 && sy >= 0.0 {
+            let (px, py) = (sx as u32, sy as u32);
+            if px < self.width && py < self.height {
+                return Some((px, py));
+            }
         }
-        let (px, py) = (sx as u32, sy as u32);
-        if px >= self.width || py >= self.height {
-            return None;
-        }
-        Some((px, py))
+        None
     }
 
     #[inline]
@@ -286,6 +282,23 @@ mod tests {
                     assert_eq!(probe.pixel_of(p), v.pixel_of(p), "{p:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn non_finite_points_are_clipped() {
+        let v = vp();
+        let probe = v.pixel_probe();
+        for p in [
+            Point::new(f64::NAN, 10.0),
+            Point::new(10.0, f64::NAN),
+            Point::new(f64::NAN, f64::NAN),
+            Point::new(f64::INFINITY, 10.0),
+            Point::new(f64::NEG_INFINITY, 10.0),
+            Point::new(10.0, f64::INFINITY),
+        ] {
+            assert_eq!(v.pixel_of(p), None, "{p:?}");
+            assert_eq!(probe.pixel_of(p), None, "{p:?}");
         }
     }
 

@@ -14,6 +14,12 @@
 //!    on boundary pixels are discarded (their points were handled in step
 //!    2); interior fragments fold the FBO partial aggregates into the
 //!    result.
+//!
+//! Step 3 runs once per query however many batches step 2 takes. The
+//! streaming executor splits the two the same way across chunks:
+//! `AccurateRasterJoin::scan_point_pass` resolves a chunk's boundary
+//! points exactly and emits its interior points as canvas entries, and
+//! `AccurateRasterJoin::resolve_scan` runs step 3 once per scan.
 
 use crate::query::{result_slots, JoinOutput, Query};
 use crate::stats::ExecStats;
@@ -26,7 +32,9 @@ use raster_gpu::raster::{
     rasterize_segment_conservative, rasterize_segment_thick_outline, rasterize_triangle_spans,
 };
 use raster_gpu::ssbo::{AtomicF64Array, AtomicU64Array};
-use raster_gpu::{BoundaryFbo, Device, FboPool, RasterConfig, Viewport};
+use raster_gpu::{
+    BinnedBatch, BoundaryFbo, Device, FboPool, PixelPartials, RasterConfig, ScanCanvas, Viewport,
+};
 use raster_index::{AssignMode, GridIndex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -82,9 +90,10 @@ impl Default for AccurateRasterJoin {
 /// Polygon-side state reusable across point batches/chunks of one query
 /// (the accurate counterpart of [`crate::bounded::PreparedBounded`]): the
 /// triangulation, canvas viewport, conservative boundary FBO and grid
-/// index. Chunked scans (`raster-join::stream`, §7.7) call
-/// [`AccurateRasterJoin::prepare`] once and
-/// [`AccurateRasterJoin::execute_prepared`] per chunk.
+/// index. Chunked scans call [`AccurateRasterJoin::prepare`] once and
+/// [`AccurateRasterJoin::execute_prepared`] per chunk; the streaming
+/// executor (`raster-join::stream`, §7.7) prepares once and resolves once
+/// per scan.
 pub struct PreparedAccurate<'a> {
     polys: &'a [Polygon],
     state: Option<AccurateState>,
@@ -118,6 +127,102 @@ impl PreparedAccurate<'_> {
     /// back to zero after a failed scan.
     pub fn outstanding_canvases(&self) -> usize {
         self.pool.outstanding()
+    }
+
+    /// A scan-wide canvas of the accurate viewport (one tile), checked out
+    /// of this preparation's pool until
+    /// [`PreparedAccurate::release_scan_canvas`].
+    pub(crate) fn acquire_scan_canvas(&self, with_sums: bool) -> ScanCanvas {
+        let shape = self.state.as_ref().map(|st| (st.vp.width, st.vp.height));
+        self.pool.acquire_scan(shape, with_sums)
+    }
+
+    pub(crate) fn release_scan_canvas(&self, canvas: ScanCanvas) {
+        self.pool.release_scan(canvas);
+    }
+}
+
+impl AccurateState {
+    /// Procedure AccuratePoints over `rows`: a point on a
+    /// boundary pixel takes the exact PIP path into `counts`/`sums`, every
+    /// other in-canvas point is handed to `emit` as (linear pixel index,
+    /// value). Returns the PIP tests performed.
+    #[allow(clippy::too_many_arguments)]
+    fn point_range(
+        &self,
+        polys: &[Polygon],
+        points: &PointTable,
+        rows: std::ops::Range<usize>,
+        query: &Query,
+        counts: &AtomicU64Array,
+        sums: &AtomicF64Array,
+        mut emit: impl FnMut(u32, f32),
+    ) -> u64 {
+        let preds = &query.predicates;
+        let agg_attr = query.aggregate.attr();
+        let mut pip = 0u64;
+        for i in rows {
+            if !preds.is_empty() && !passes(points, i, preds) {
+                continue;
+            }
+            let p = points.point(i);
+            let Some((x, y)) = self.vp.pixel_of(p) else {
+                continue;
+            };
+            if self.boundary.is_boundary(x, y) {
+                pip += join_point(&self.index, polys, p, i, agg_attr, points, counts, sums);
+            } else {
+                emit(
+                    y * self.vp.width + x,
+                    agg_attr.map_or(0.0, |a| points.attr(a)[i]),
+                );
+            }
+        }
+        pip
+    }
+
+    /// Step 3 (Procedure AccuratePolygons) over `canvas`, discarding
+    /// boundary fragments. Each triangle folds its fragments into a local
+    /// partial and hands the nonzero partials to `fold(triangle, count,
+    /// sum)`, from up to `workers` threads. Returns the fragments scanned.
+    fn draw_triangles<C: PixelPartials>(
+        &self,
+        canvas: &C,
+        workers: usize,
+        fold: impl Fn(usize, u64, f64) + Sync,
+    ) -> u64 {
+        let (vp, boundary) = (&self.vp, &self.boundary);
+        let (w, h) = (vp.width, vp.height);
+        let tris = &self.tris;
+        let fragments = AtomicU64::new(0);
+        let tri_block = block_for(tris.len(), workers);
+        parallel_dynamic(tris.len(), workers, tri_block, |ti| {
+            let t = &tris[ti];
+            let corners = [vp.to_screen(t.a), vp.to_screen(t.b), vp.to_screen(t.c)];
+            let mut frags = 0u64;
+            let mut cnt_acc = 0u64;
+            let mut sum_acc = 0f64;
+            rasterize_triangle_spans(corners, w, h, |y, x0, x1| {
+                frags += (x1 - x0) as u64;
+                for x in x0..x1 {
+                    if boundary.is_boundary(x, y) {
+                        continue; // discarded: handled exactly in step 2
+                    }
+                    let (cnt, sum) = canvas.partials_at(x, y);
+                    if cnt > 0 {
+                        cnt_acc += cnt as u64;
+                        sum_acc += sum;
+                    }
+                }
+            });
+            if cnt_acc > 0 || sum_acc != 0.0 {
+                fold(ti, cnt_acc, sum_acc);
+            }
+            if frags > 0 {
+                fragments.fetch_add(frags, Ordering::Relaxed);
+            }
+        });
+        fragments.load(Ordering::Relaxed)
     }
 }
 
@@ -252,7 +357,7 @@ impl AccurateRasterJoin {
             };
         };
         let polys = prepared.polys;
-        let (tris, vp, boundary, index) = (&state.tris, &state.vp, &state.boundary, &state.index);
+        let (vp, boundary, index) = (&state.vp, &state.boundary, &state.index);
         let (w, h) = (vp.width, vp.height);
         stats.triangulation = prepared.triangulation;
         stats.index_build = prepared.index_build;
@@ -268,7 +373,6 @@ impl AccurateRasterJoin {
             .map_or(usize::MAX, |b| b.max(1))
             .min(device.points_per_batch(point_bytes));
         let pip_tests = AtomicU64::new(0);
-        let fragments = AtomicU64::new(0);
         let preds = &query.predicates;
         let pool = &prepared.pool;
         let fbo = pool.acquire(w, h);
@@ -318,24 +422,12 @@ impl AccurateRasterJoin {
                 pool.release_shards(shards);
             } else {
                 parallel_ranges(end - start, self.workers, |s, e| {
-                    let mut local_pip = 0u64;
-                    for i in (start + s)..(start + e) {
-                        if !preds.is_empty() && !passes(points, i, preds) {
-                            continue;
-                        }
-                        let p = points.point(i);
-                        let Some((x, y)) = vp.pixel_of(p) else {
-                            continue;
-                        };
-                        if boundary.is_boundary(x, y) {
-                            local_pip +=
-                                join_point(index, polys, p, i, agg_attr, points, &counts, &sums);
-                        } else {
-                            let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
-                            fbo.blend_add(x, y, v);
-                        }
-                    }
-                    pip_tests.fetch_add(local_pip, Ordering::Relaxed);
+                    let range = start + s..start + e;
+                    let pip =
+                        state.point_range(polys, points, range, query, &counts, &sums, |pix, v| {
+                            fbo.blend_add_idx(pix as usize, v)
+                        });
+                    pip_tests.fetch_add(pip, Ordering::Relaxed);
                 });
             }
             start = end;
@@ -348,40 +440,14 @@ impl AccurateRasterJoin {
         // Step 3: polygon pass, discarding boundary fragments. Spans keep
         // the scan sequential; the boundary test stays per pixel.
         let polygon_stage0 = Instant::now();
-        let tri_block = block_for(tris.len(), self.workers);
-        parallel_dynamic(tris.len(), self.workers, tri_block, |ti| {
-            let t = &tris[ti];
-            let a = vp.to_screen(t.a);
-            let b = vp.to_screen(t.b);
-            let c = vp.to_screen(t.c);
-            let id = t.poly_id as usize;
-            let mut frags = 0u64;
-            let mut cnt_acc = 0u64;
-            let mut sum_acc = 0f64;
-            rasterize_triangle_spans([a, b, c], w, h, |y, x0, x1| {
-                frags += (x1 - x0) as u64;
-                for x in x0..x1 {
-                    if boundary.is_boundary(x, y) {
-                        continue; // discarded: handled exactly in step 2
-                    }
-                    let cnt = fbo.count_at(x, y);
-                    if cnt > 0 {
-                        cnt_acc += cnt as u64;
-                        let s = fbo.sum_at(x, y);
-                        if s != 0.0 {
-                            sum_acc += s as f64;
-                        }
-                    }
-                }
-            });
-            if cnt_acc > 0 {
-                counts.add(id, cnt_acc);
+        // One atomic add per triangle straight into its polygon's slot.
+        let fragments = state.draw_triangles(&fbo, self.workers, |ti, cnt, sum| {
+            let id = state.tris[ti].poly_id as usize;
+            if cnt > 0 {
+                counts.add(id, cnt);
             }
-            if sum_acc != 0.0 {
-                sums.add(id, sum_acc);
-            }
-            if frags > 0 {
-                fragments.fetch_add(frags, Ordering::Relaxed);
+            if sum != 0.0 {
+                sums.add(id, sum);
             }
         });
         stats.polygon_stage += polygon_stage0.elapsed();
@@ -395,13 +461,109 @@ impl AccurateRasterJoin {
         stats.download_bytes = ts.bytes_down;
         stats.transfer = device.modelled_transfer_time();
         stats.pip_tests = pip_tests.load(Ordering::Relaxed);
-        stats.fragments = fragments.load(Ordering::Relaxed);
+        stats.fragments = fragments;
 
         JoinOutput {
             counts: counts.to_vec(),
             sums: sums.to_vec(),
             stats,
         }
+    }
+
+    /// The point pass of one streamed chunk: boundary points resolve
+    /// exactly into the returned result slots (folded by the scan's
+    /// `AggregateMerger`), interior points become single-tile canvas
+    /// entries in row order for the consumer's [`ScanCanvas`]. No canvas
+    /// is touched and no polygon pass runs.
+    pub(crate) fn scan_point_pass(
+        &self,
+        prepared: &PreparedAccurate<'_>,
+        points: &PointTable,
+        query: &Query,
+        device: &Device,
+    ) -> (BinnedBatch, JoinOutput) {
+        device.reset_stats();
+        let mut out = JoinOutput::default();
+        let Some(state) = prepared.state.as_ref() else {
+            return (BinnedBatch::from_tile(Vec::new(), Vec::new()), out);
+        };
+        let t0 = Instant::now();
+        let counts = AtomicU64Array::new(prepared.nslots);
+        let sums = AtomicF64Array::new(prepared.nslots);
+        let with_values = query.aggregate.attr().is_some();
+        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+        let pip = state.point_range(
+            prepared.polys,
+            points,
+            0..points.len(),
+            query,
+            &counts,
+            &sums,
+            |pix, v| {
+                idx.push(pix);
+                if with_values {
+                    vals.push(v);
+                }
+            },
+        );
+        let st = &mut out.stats;
+        st.point_stage = t0.elapsed();
+        st.processing = st.point_stage;
+        st.pip_tests = pip;
+        st.batches = 1;
+        st.triangulation = prepared.triangulation;
+        st.index_build = prepared.index_build;
+        device
+            .record_upload((points.len() * PointTable::point_bytes(query.attrs_uploaded())) as u64);
+        st.upload_bytes = device.stats().bytes_up;
+        st.transfer = device.modelled_transfer_time();
+        out.counts = counts.to_vec();
+        out.sums = sums.to_vec();
+        (BinnedBatch::from_tile(idx, vals), out)
+    }
+
+    /// Step 3 over a streamed scan's canvas, once per scan; the slots it
+    /// returns hold the interior partials only (the boundary points were
+    /// folded chunk by chunk).
+    pub(crate) fn resolve_scan(
+        &self,
+        prepared: &PreparedAccurate<'_>,
+        canvas: &ScanCanvas,
+        device: &Device,
+        workers: usize,
+    ) -> JoinOutput {
+        device.reset_stats();
+        let mut out = JoinOutput::default();
+        let Some(state) = prepared.state.as_ref() else {
+            return out;
+        };
+        let t0 = Instant::now();
+        out.counts = vec![0; prepared.nslots];
+        out.sums = vec![0.0; prepared.nslots];
+        // Per-triangle partials, folded into the slots in triangle order
+        // afterwards: the slots are then bitwise-reproducible at any
+        // worker count.
+        let tris = &state.tris;
+        let tri_counts = AtomicU64Array::new(tris.len());
+        let tri_sums = AtomicF64Array::new(tris.len());
+        let fragments = state.draw_triangles(canvas.tile(0), workers, |ti, cnt, sum| {
+            tri_counts.add(ti, cnt);
+            tri_sums.add(ti, sum);
+        });
+        for (ti, t) in tris.iter().enumerate() {
+            let id = t.poly_id as usize;
+            out.counts[id] += tri_counts.get(ti);
+            out.sums[id] += tri_sums.get(ti);
+        }
+        let st = &mut out.stats;
+        st.fragments = fragments;
+        st.polygon_stage = t0.elapsed();
+        st.processing = st.polygon_stage;
+        st.passes = 1;
+        device.record_download((prepared.nslots * 16) as u64);
+        st.download_bytes = device.stats().bytes_down;
+        st.transfer = device.modelled_transfer_time();
+        out
     }
 }
 

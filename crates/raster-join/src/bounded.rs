@@ -14,6 +14,20 @@
 //! and the two steps re-run per tile (Fig. 5). Points are uploaded to the
 //! device exactly once per batch regardless of the tile count (§5).
 //!
+//! The point FBO is additive for distributive aggregates (§5), so the
+//! executor splits into *accumulate* (DrawPoints, once per batch) and
+//! *resolve* (DrawPolygons, once per tile): a query of several batches
+//! blends every batch into its tile canvases and resolves each tile once,
+//! after the last batch. A single-batch query resolves each tile right
+//! after its point pass, so only one tile canvas is live at a time; a
+//! query of several batches over a tiled canvas keeps every tile canvas
+//! (8 B per pixel) live until the last batch — the whole canvas, where a
+//! per-batch resolve held one tile. The
+//! streaming executor (`stream.rs`) uses the same split with a scan-wide
+//! canvas: `BoundedRasterJoin::scan_point_pass` emits a chunk's binned
+//! entries and `BoundedRasterJoin::resolve_scan` runs the polygon pass
+//! once per scan.
+//!
 //! Two execution paths exist per batch, selected by [`RasterConfig`]:
 //!
 //! * **Binned** (default) — `raster_gpu::bin_points` classifies every
@@ -35,7 +49,7 @@ use raster_gpu::bin::{bin_points, BinnedBatch, CanvasTiling};
 use raster_gpu::exec::{block_for, default_workers, parallel_dynamic, parallel_ranges, timed};
 use raster_gpu::raster::rasterize_polygon_spans;
 use raster_gpu::ssbo::{AtomicF64Array, AtomicU64Array};
-use raster_gpu::{Device, FboPool, PointFbo, RasterConfig, Viewport};
+use raster_gpu::{Device, FboPool, PixelPartials, PointFbo, RasterConfig, ScanCanvas, Viewport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -123,10 +137,11 @@ pub struct PreparedBounded {
     tiling: Option<CanvasTiling>,
     nslots: usize,
     preparation: std::time::Duration,
-    /// FBO/shard recycling shared across every chunk executed against
-    /// this preparation: a streamed scan would otherwise reallocate (and
-    /// page-fault) the full canvas once per chunk — hundreds of MB at
-    /// fine ε — outside any timer.
+    /// FBO/shard recycling shared across every call executed against
+    /// this preparation: a chunk loop over `execute_prepared` would
+    /// otherwise reallocate (and page-fault) the full canvas once per
+    /// chunk — hundreds of MB at fine ε — outside any timer. It also
+    /// accounts a streamed scan's scan canvas.
     pool: FboPool,
 }
 
@@ -140,6 +155,19 @@ impl PreparedBounded {
     /// back to zero after a failed scan.
     pub fn outstanding_canvases(&self) -> usize {
         self.pool.outstanding()
+    }
+
+    /// A scan-wide canvas covering every tile (see
+    /// [`BoundedRasterJoin::resolve_scan`]), checked out of this
+    /// preparation's pool until [`PreparedBounded::release_scan_canvas`].
+    pub(crate) fn acquire_scan_canvas(&self, with_sums: bool) -> ScanCanvas {
+        let tiles = self.tiling.as_ref().map_or(&[][..], |t| &t.tiles[..]);
+        self.pool
+            .acquire_scan(tiles.iter().map(|vp| (vp.width, vp.height)), with_sums)
+    }
+
+    pub(crate) fn release_scan_canvas(&self, canvas: ScanCanvas) {
+        self.pool.release_scan(canvas);
     }
 }
 
@@ -255,9 +283,14 @@ impl BoundedRasterJoin {
         let pool = &prepared.pool;
 
         let proc0 = Instant::now();
+        // Tile canvases, acquired on a tile's first point pass and
+        // resolved (then released) on the last batch's pass over it: one
+        // polygon pass per tile however many batches the points span.
+        let mut live: Vec<Option<PointFbo>> = tiling.tiles.iter().map(|_| None).collect();
         let mut start = 0usize;
-        while start < points.len() || (points.is_empty() && start == 0) {
+        loop {
             let end = (start + per_batch).min(points.len());
+            let last = end == points.len();
             device.record_upload(((end - start) * point_bytes) as u64);
             stats.batches += 1;
 
@@ -266,31 +299,15 @@ impl BoundedRasterJoin {
             // A single-tile canvas has no rescan to eliminate — the direct
             // blend already filters and transforms each point exactly once
             // — so binning there would only pay the staging buffer.
-            let binned = if self.config.binning && tiling.tile_count() > 1 {
+            let binned = (self.config.binning && tiling.tile_count() > 1).then(|| {
                 let t0 = Instant::now();
-                let preds = &query.predicates;
-                let b = bin_points(
-                    tiling,
-                    end - start,
-                    self.workers,
-                    agg_attr.is_some(),
-                    |rel| {
-                        let i = start + rel;
-                        if !preds.is_empty() && !passes(points, i, preds) {
-                            return None;
-                        }
-                        let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
-                        Some((points.point(i), v))
-                    },
-                );
+                let b = self.bin_batch(tiling, points, start, end, query);
                 let dt = t0.elapsed();
                 stats.binning += dt;
                 stats.point_stage += dt;
                 stats.binned_points += b.len() as u64;
-                Some(b)
-            } else {
-                None
-            };
+                b
+            });
 
             // For the rescan path's sharding gate: expected entries per
             // tile, estimated once per batch (each tile receives roughly
@@ -308,10 +325,10 @@ impl BoundedRasterJoin {
             };
 
             for (ti, vp) in tiling.tiles.iter().enumerate() {
-                let fbo = pool.acquire(vp.width, vp.height);
+                let fbo = live[ti].get_or_insert_with(|| pool.acquire(vp.width, vp.height));
                 let mut point_stage = std::time::Duration::ZERO;
                 timed(&mut point_stage, || match &binned {
-                    Some(b) => self.draw_points_binned(b, ti, vp, &fbo, pool, &mut stats),
+                    Some(b) => self.draw_points_binned(b, ti, vp, fbo, pool, &mut stats),
                     None => self.draw_points(
                         points,
                         start,
@@ -320,28 +337,31 @@ impl BoundedRasterJoin {
                         agg_attr,
                         vp,
                         est_tile_entries,
-                        &fbo,
+                        fbo,
                         pool,
                         &mut stats,
                     ),
                 });
                 stats.point_stage += point_stage;
-                timed(&mut stats.polygon_stage, || {
-                    self.draw_polygons(
-                        &prepared.polys,
-                        vp,
-                        &fbo,
-                        agg_attr.is_some(),
-                        &counts,
-                        &sums,
-                        &fragments,
-                    )
-                });
-                pool.release(fbo);
-                stats.passes += 1;
+                if last {
+                    let fbo = live[ti].take().expect("tile canvas acquired above");
+                    timed(&mut stats.polygon_stage, || {
+                        self.draw_polygons(
+                            &prepared.polys,
+                            vp,
+                            &fbo,
+                            agg_attr.is_some(),
+                            self.workers,
+                            &counts,
+                            &sums,
+                            &fragments,
+                        )
+                    });
+                    pool.release(fbo);
+                    stats.passes += 1;
+                }
             }
-
-            if end == points.len() {
+            if last {
                 break;
             }
             start = end;
@@ -356,6 +376,114 @@ impl BoundedRasterJoin {
         stats.transfer = device.modelled_transfer_time();
         stats.fragments = fragments.load(Ordering::Relaxed);
 
+        JoinOutput {
+            counts: counts.to_vec(),
+            sums: sums.to_vec(),
+            stats,
+        }
+    }
+
+    /// Filter, transform and bin rows `[start, end)` into canvas entries
+    /// per tile, in row order within each tile (`bin_points`).
+    fn bin_batch(
+        &self,
+        tiling: &CanvasTiling,
+        points: &PointTable,
+        start: usize,
+        end: usize,
+        query: &Query,
+    ) -> BinnedBatch {
+        let preds = &query.predicates;
+        let agg_attr = query.aggregate.attr();
+        bin_points(
+            tiling,
+            end - start,
+            self.workers,
+            agg_attr.is_some(),
+            |rel| {
+                let i = start + rel;
+                if !preds.is_empty() && !passes(points, i, preds) {
+                    return None;
+                }
+                let v = agg_attr.map_or(0.0, |a| points.attr(a)[i]);
+                Some((points.point(i), v))
+            },
+        )
+    }
+
+    /// The point pass of one streamed chunk: filter, transform and bin
+    /// every row into canvas entries for the scan's consumer, which
+    /// replays them into its [`ScanCanvas`] in chunk order. No canvas is
+    /// touched and no polygon pass runs; `stats` carries the point stage
+    /// and the chunk's upload. Result slots stay empty: every bounded
+    /// aggregate comes out of [`BoundedRasterJoin::resolve_scan`].
+    pub(crate) fn scan_point_pass(
+        &self,
+        prepared: &PreparedBounded,
+        points: &PointTable,
+        query: &Query,
+        device: &Device,
+    ) -> (BinnedBatch, JoinOutput) {
+        device.reset_stats();
+        let mut out = JoinOutput::default();
+        let t0 = Instant::now();
+        let binned = match prepared.tiling.as_ref() {
+            Some(tiling) => self.bin_batch(tiling, points, 0, points.len(), query),
+            None => BinnedBatch::from_tile(Vec::new(), Vec::new()),
+        };
+        let st = &mut out.stats;
+        st.binning = t0.elapsed();
+        st.point_stage = st.binning;
+        st.processing = st.binning;
+        st.binned_points = binned.len() as u64;
+        st.batches = 1;
+        st.triangulation = prepared.preparation;
+        device
+            .record_upload((points.len() * PointTable::point_bytes(query.attrs_uploaded())) as u64);
+        st.upload_bytes = device.stats().bytes_up;
+        st.transfer = device.modelled_transfer_time();
+        (binned, out)
+    }
+
+    /// The polygon pass over a streamed scan's canvas: one DrawPolygons
+    /// pass per tile, in tile order, so each result slot receives one add
+    /// per tile in a fixed order and the pass may run at full width while
+    /// the slots stay bitwise-reproducible.
+    pub(crate) fn resolve_scan(
+        &self,
+        prepared: &PreparedBounded,
+        canvas: &ScanCanvas,
+        query: &Query,
+        device: &Device,
+        workers: usize,
+    ) -> JoinOutput {
+        device.reset_stats();
+        let counts = AtomicU64Array::new(prepared.nslots);
+        let sums = AtomicF64Array::new(prepared.nslots);
+        let fragments = AtomicU64::new(0);
+        let mut stats = ExecStats::default();
+        let t0 = Instant::now();
+        if let Some(tiling) = prepared.tiling.as_ref() {
+            for (ti, vp) in tiling.tiles.iter().enumerate() {
+                self.draw_polygons(
+                    &prepared.polys,
+                    vp,
+                    canvas.tile(ti),
+                    query.aggregate.attr().is_some(),
+                    workers,
+                    &counts,
+                    &sums,
+                    &fragments,
+                );
+                stats.passes += 1;
+            }
+        }
+        stats.polygon_stage = t0.elapsed();
+        stats.processing = stats.polygon_stage;
+        stats.fragments = fragments.load(Ordering::Relaxed);
+        device.record_download((prepared.nslots * 16) as u64);
+        stats.download_bytes = device.stats().bytes_down;
+        stats.transfer = device.modelled_transfer_time();
         JoinOutput {
             counts: counts.to_vec(),
             sums: sums.to_vec(),
@@ -461,23 +589,25 @@ impl BoundedRasterJoin {
     }
 
     /// Step II (Procedure DrawPolygons): scan-convert each polygon over
-    /// the FBO and fold the pixel partial aggregates into its result
-    /// slot. Accumulation is local per polygon, so a single atomic update
-    /// per polygon reaches the SSBO.
+    /// the canvas tile and fold the pixel partial aggregates into its
+    /// result slot. Accumulation is local per polygon, so a single atomic
+    /// update per polygon reaches the SSBO: per tile, each slot gets at
+    /// most one add.
     #[allow(clippy::too_many_arguments)]
-    fn draw_polygons(
+    fn draw_polygons<C: PixelPartials>(
         &self,
         polys: &[PolyRings],
         vp: &Viewport,
-        fbo: &PointFbo,
+        fbo: &C,
         needs_sums: bool,
+        workers: usize,
         counts: &AtomicU64Array,
         sums: &AtomicF64Array,
         fragments: &AtomicU64,
     ) {
         let (w, h) = (vp.width, vp.height);
-        let block = block_for(polys.len(), self.workers);
-        parallel_dynamic(polys.len(), self.workers, block, |pi| {
+        let block = block_for(polys.len(), workers);
+        parallel_dynamic(polys.len(), workers, block, |pi| {
             let poly = &polys[pi];
             let id = poly.id as usize;
             // Vertex stage: transform the rings to screen space.
@@ -629,6 +759,8 @@ mod tests {
         assert!(b.stats.batches > a.stats.batches);
         assert_eq!(a.stats.batches, 1);
         assert_eq!(b.stats.batches, 3);
+        // Batches accumulate into the canvas: one polygon pass either way.
+        assert_eq!(b.stats.passes, a.stats.passes);
     }
 
     #[test]
@@ -778,6 +910,72 @@ mod tests {
         assert_eq!(out.counts, vec![1, 2, 3, 2]);
         assert_eq!(out.stats.binned_points, 0);
         assert_eq!(out.stats.binning, std::time::Duration::ZERO);
+    }
+
+    /// Non-finite coordinates are clipped, not binned into pixel (0, 0):
+    /// one real point plus NaN and ±∞ points count exactly one point, in
+    /// both variants and on both point paths (binned and direct blend).
+    #[test]
+    fn non_finite_points_are_not_counted() {
+        let polys = vec![Polygon::from_coords(
+            0,
+            vec![(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)],
+        )];
+        let mut pts = PointTable::with_capacity(6, &[]);
+        pts.push(Point::new(5.0, 5.0), &[]);
+        pts.push(Point::new(f64::NAN, 5.0), &[]);
+        pts.push(Point::new(f64::NAN, f64::NAN), &[]);
+        pts.push(Point::new(f64::INFINITY, 5.0), &[]);
+        pts.push(Point::new(5.0, f64::NEG_INFINITY), &[]);
+        let q = Query::count().with_epsilon(0.5);
+        let single = BoundedRasterJoin::new(1).execute(&pts, &polys, &q, &Device::default());
+        // A 16-pixel FBO limit tiles the canvas, so the binner runs too.
+        let tiled_dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 16));
+        let tiled = BoundedRasterJoin::new(2).execute(&pts, &polys, &q, &tiled_dev);
+        assert!(tiled.stats.binned_points > 0);
+        let exact = crate::AccurateRasterJoin::new(1).execute(
+            &pts,
+            &polys,
+            &Query::count(),
+            &Device::default(),
+        );
+        assert_eq!(single.counts, vec![1]);
+        assert_eq!(tiled.counts, vec![1]);
+        assert_eq!(exact.counts, single.counts);
+    }
+
+    /// The streaming split over a tiled canvas: chunk point passes replayed
+    /// into one scan canvas, then one resolve, equal the one-shot join —
+    /// counts exactly, one pass per tile — whatever the chunking.
+    #[test]
+    fn scan_canvas_resolve_matches_one_shot_on_a_tiled_canvas() {
+        use raster_data::generators::{nyc_extent, TaxiModel};
+        use raster_data::polygons::synthetic_polygons;
+        let polys = synthetic_polygons(6, &nyc_extent(), 43);
+        let pts = TaxiModel::default().generate(5_000, 44);
+        let fare = pts.attr_index("fare").unwrap();
+        let q = Query::sum(fare).with_epsilon(100.0);
+        let dev = Device::new(raster_gpu::DeviceConfig::small(3 << 30, 256));
+        let join = BoundedRasterJoin::new(1);
+        let prepared = join.prepare(&polys, q.epsilon, &dev);
+        let one = join.execute_prepared(&prepared, &pts, &q, &dev);
+        assert!(one.stats.passes > 1, "canvas must tile");
+        for chunk in [5_000, 1_999, 700] {
+            let mut canvas = prepared.acquire_scan_canvas(true);
+            for start in (0..pts.len()).step_by(chunk) {
+                let part = pts.slice(start, (start + chunk).min(pts.len()));
+                let (entries, _) = join.scan_point_pass(&prepared, &part, &q, &dev);
+                canvas.replay(&entries);
+            }
+            let out = join.resolve_scan(&prepared, &canvas, &q, &dev, 2);
+            prepared.release_scan_canvas(canvas);
+            assert_eq!(out.counts, one.counts, "chunk {chunk}");
+            assert_eq!(out.stats.passes, one.stats.passes, "chunk {chunk}");
+            for (a, b) in out.sums.iter().zip(&one.sums) {
+                assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{a} vs {b}");
+            }
+        }
+        assert_eq!(prepared.outstanding_canvases(), 0);
     }
 
     /// Binned + sharded out-of-core batching still matches single-batch.

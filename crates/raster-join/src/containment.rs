@@ -20,10 +20,11 @@
 //! workers own their chunk exclusively (`EncodedChunk` by value, a fresh
 //! per-chunk `Device`), the cross-thread channels transfer ownership
 //! rather than sharing it, `parking_lot` mutexes do not poison, and the
-//! one fold that mutates cross-chunk state (merger + planner feedback)
-//! runs on the consumer thread *outside* any contained region. A canvas
-//! held by a panicking worker is dropped, not leaked back into the
-//! `FboPool` free list mid-write.
+//! one fold that mutates cross-chunk state (scan canvas replay, merger,
+//! planner feedback) runs on the consumer thread *outside* any contained
+//! region. Streaming workers hold no canvas at all: they emit canvas
+//! entries, so a panicking worker has nothing to leak back into an
+//! `FboPool`.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};

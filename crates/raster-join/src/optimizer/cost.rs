@@ -38,7 +38,7 @@ use raster_data::filter::passes;
 use raster_data::PointTable;
 use raster_geom::hausdorff::{pixel_side_for_epsilon, resolution_for_epsilon};
 use raster_geom::{BBox, Polygon};
-use raster_gpu::{Device, SHARD_MIN_DENSITY};
+use raster_gpu::{Device, RasterConfig, SHARD_MIN_DENSITY};
 
 /// Number of per-stage cost terms.
 pub const NWEIGHTS: usize = 14;
@@ -122,13 +122,29 @@ pub const PARALLEL_EFFICIENCY: f64 = 0.85;
 /// `1 + MERGE_CONTENTION·(workers − 1)`.
 pub const MERGE_CONTENTION: f64 = 0.6;
 
+/// Whether the workload is a streamed scan of a table file (its storage
+/// profile is known: `stored_row_bytes > 0`).
+pub fn is_streamed(wl: &Workload) -> bool {
+    wl.stored_row_bytes > 0.0
+}
+
+/// The one pipeline config a streamed scan executes: every chunk bins its
+/// canvas entries for the consumer's scan canvas (binning on, whatever
+/// the tile count), and no chunk shards, because chunks run at intra-chunk
+/// width 1. The planner enumerates streamed plans with this config only,
+/// so EXPLAIN, the cost and the feedback keys all describe what runs.
+pub const STREAMED_CONFIG: RasterConfig = RasterConfig {
+    binning: true,
+    sharding: false,
+};
+
 /// The worker count the *join inside one unit of work* runs at. Streaming
 /// workloads (`stored_row_bytes > 0`) parallelize across chunks, not
 /// within them — every chunk executes single-threaded so f32 blend order
 /// (hence AVG sums) is bitwise identical at any pool size — while
 /// in-memory workloads fan the batch itself out over `plan.workers`.
 pub fn intra_workers(plan: &Plan, wl: &Workload) -> usize {
-    if wl.stored_row_bytes > 0.0 {
+    if is_streamed(wl) {
         1
     } else {
         plan.workers.max(1)
@@ -294,7 +310,9 @@ pub fn shape(plan: &Plan, wl: &Workload, device: &Device) -> PlanShape {
             PlanShape {
                 tiles,
                 batches,
-                passes: tiles * batches,
+                // Every batch blends into the tile canvases; each tile
+                // resolves once, after the last batch.
+                passes: tiles,
                 pixels,
                 sharded,
             }
@@ -373,12 +391,12 @@ pub fn features_for(
     match plan.variant {
         Variant::Bounded => {
             let side = pixel_side_for_epsilon(wl.epsilon);
-            // DrawPolygons re-runs per (tile × batch); the tile split
-            // keeps total fragments resolution-bound, but every batch
-            // folds the full fragment volume again.
-            f[W_FRAG] = fragments(wl.area, wl.perimeter, side) * batches;
-            // FBOs are cleared per (tile × batch) on acquire.
-            f[W_CLEAR_PX] = sh.pixels * batches;
+            // DrawPolygons runs once per tile however many batches (or
+            // streamed chunks) fed the canvas: the tile split keeps the
+            // total fragments resolution-bound, and the canvas is cleared
+            // once per query.
+            f[W_FRAG] = fragments(wl.area, wl.perimeter, side);
+            f[W_CLEAR_PX] = sh.pixels;
             let binned = plan.config.binning && sh.tiles > 1;
             if binned {
                 // One filter scan per batch over its own points; survivors
@@ -560,11 +578,41 @@ mod tests {
         let four = shape(&plan(Variant::Bounded, true, true, 250_000), &wl, &dev);
         assert_eq!(one.batches, 1);
         assert_eq!(four.batches, 4);
-        assert_eq!(four.passes, 4 * four.tiles);
+        // Batches accumulate into the tile canvases, resolved once each.
+        assert_eq!(four.passes, four.tiles);
         let f1 = features(&plan(Variant::Bounded, true, true, usize::MAX), &wl, &dev);
         let f4 = features(&plan(Variant::Bounded, true, true, 250_000), &wl, &dev);
         assert!(f4[W_BATCH] > f1[W_BATCH]);
-        assert!(f4[W_CLEAR_PX] > f1[W_CLEAR_PX]);
+        assert_eq!(f4[W_CLEAR_PX], f1[W_CLEAR_PX]);
+        assert_eq!(f4[W_FRAG], f1[W_FRAG]);
+        assert_eq!(f4[W_PASS], f1[W_PASS]);
+    }
+
+    #[test]
+    fn streaming_plan_charges_one_polygon_pass_per_scan() {
+        // An 11-chunk scan (the 100 k-point budget over a 1.1 M-row
+        // table): point work scales with the rows, the polygon pass and
+        // the canvas clear are charged once, exactly as for one chunk.
+        let polys = synthetic_polygons(8, &nyc_extent(), 3);
+        let q = Query::count().with_epsilon(20.0);
+        let mut scan = Workload::assumed(1_100_000, &polys, &q);
+        scan.stored_row_bytes = 16.0;
+        let one_chunk = Workload {
+            n_points: 100_000,
+            ..scan
+        };
+        let dev = Device::default();
+        let p = plan_w(Variant::Bounded, true, false, 100_000, 1);
+        let sh = shape(&p, &scan, &dev);
+        assert_eq!(sh.batches, 11);
+        assert_eq!(sh.tiles, 1);
+        assert_eq!(sh.passes, 1, "one polygon pass per scan");
+        let (f, f1) = (features(&p, &scan, &dev), features(&p, &one_chunk, &dev));
+        assert_eq!(f[W_PASS], 1.0);
+        assert_eq!(f[W_FRAG], f1[W_FRAG]);
+        assert_eq!(f[W_CLEAR_PX], f1[W_CLEAR_PX]);
+        assert_eq!(f[W_BATCH], 11.0);
+        assert_eq!(f[W_FILTER], 11.0 * f1[W_FILTER]);
     }
 
     #[test]

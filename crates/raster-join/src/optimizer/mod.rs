@@ -20,7 +20,9 @@
 //! plus the accurate variant's canvas/index resolutions and the worker
 //! count. [`plan_workload`] enumerates the candidates (bounded: all four
 //! binning × sharding combinations; accurate: sharding on/off — it has no
-//! tiles to bin; batch sizes: device-capacity fill plus a half-capacity
+//! tiles to bin; a streamed scan runs one pipeline config,
+//! [`cost::STREAMED_CONFIG`], so its plans carry only that one; batch
+//! sizes: device-capacity fill plus a half-capacity
 //! alternative when the workload is out-of-core; worker counts: halving
 //! steps from the available pool down to 1, costed with the
 //! amortization/contention scaling in [`cost`]), costs each with the
@@ -259,6 +261,7 @@ pub fn plan_workload(
 
     let mut plans: Vec<Plan> = Vec::new();
     let bounded_configs: Vec<RasterConfig> = match config_override {
+        _ if cost::is_streamed(wl) => vec![cost::STREAMED_CONFIG],
         Some(c) => vec![c],
         None => [(true, true), (true, false), (false, true), (false, false)]
             .iter()
@@ -266,6 +269,7 @@ pub fn plan_workload(
             .collect(),
     };
     let accurate_shardings: Vec<bool> = match config_override {
+        _ if cost::is_streamed(wl) => vec![false],
         Some(c) => vec![c.sharding],
         None => vec![true, false],
     };
@@ -402,6 +406,7 @@ pub struct AutoRasterJoin {
     pub accurate_canvas_dim: u32,
     pub accurate_index_dim: u32,
     /// Restrict the plan space to one pipeline config (ablation/debug).
+    /// Streamed scans ignore it: they run [`cost::STREAMED_CONFIG`].
     pub config_override: Option<RasterConfig>,
     /// Fold each execution's predicted-vs-actual ratio back into the
     /// calibration (on by default).
@@ -817,6 +822,31 @@ mod tests {
                         assert_eq!(c.plan.config.sharding, sharding);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_scans_enumerate_only_the_config_they_run() {
+        let (polys, _) = setup();
+        let q = Query::count().with_epsilon(20.0);
+        let mut wl = Workload::assumed(1_000_000, &polys, &q);
+        wl.stored_row_bytes = 16.0;
+        let dev = Device::default();
+        let cal = Calibration::builtin();
+        // A config override does not reach a streamed scan either.
+        let forced = Some(RasterConfig {
+            binning: false,
+            sharding: true,
+        });
+        for over in [None, forced] {
+            let choice = plan_workload(&wl, &q, &dev, &cal, 4, 2048, 1024, over);
+            for c in &choice.candidates {
+                match c.plan.variant {
+                    Variant::Bounded => assert_eq!(c.plan.config, cost::STREAMED_CONFIG),
+                    Variant::Accurate => assert!(!c.plan.config.sharding),
+                }
+                assert!(!c.shape.sharded);
             }
         }
     }

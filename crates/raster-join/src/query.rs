@@ -139,7 +139,7 @@ impl Query {
 
 /// Result of one join execution: the raw COUNT/SUM accumulators per
 /// polygon plus execution statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JoinOutput {
     pub counts: Vec<u64>,
     pub sums: Vec<f64>,

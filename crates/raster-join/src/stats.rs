@@ -12,8 +12,9 @@
 //! additively across workers, so they report *cumulative worker time*
 //! and may sum past wall clock when chunks overlap. The headline split
 //! stays wall-clock honest instead: `processing` is the union of the
-//! intervals during which ≥ 1 worker was decoding or joining, and `disk`
-//! is the remaining stall, so `total()` still tracks elapsed time.
+//! intervals during which ≥ 1 pipeline thread was busy (decoding, point
+//! pass, canvas replay, the final polygon pass), and `disk` is the
+//! remaining stall, so `total()` still tracks elapsed time.
 
 use std::time::Duration;
 
@@ -54,7 +55,9 @@ pub struct ExecStats {
     pub polygon_stage: Duration,
     /// Out-of-core point batches executed (§5).
     pub batches: u32,
-    /// Rendering passes (canvas tiles × batches) executed (Fig. 5).
+    /// Polygon render passes executed: one per canvas tile per query
+    /// (Fig. 5), however many batches or streamed chunks fed the canvas,
+    /// plus the accurate variant's outline pass.
     pub passes: u32,
     /// Point-in-polygon tests performed (the cost the paper eliminates).
     pub pip_tests: u64,

@@ -4,79 +4,95 @@
 //! The paper's disk-resident experiment (§7.7 / Fig. 13) "simply reads
 //! data from disk as and when required to transfer to the GPU" — a
 //! blocking reader: every chunk is read, then processed, then the next
-//! read starts, so the disk sits idle while the join runs and the join
-//! sits idle while the disk runs. [`StreamingRasterJoin`] keeps that
-//! blocking loop as the paper-faithful ablation arm (`prefetch: false`)
-//! and grows two pipelined paths on top of it, selected by the planner's
-//! chosen worker count:
+//! read starts. [`StreamingRasterJoin`] runs every scan through one
+//! pipeline and keeps that blocking reader as a mode of it
+//! ([`StreamingRasterJoin::blocking`], the paper-faithful ablation arm):
 //!
 //! ```text
-//! blocking (§7.7 arm):   [fetch+decode] → [join] → [fetch+decode] → …
-//!
-//! 1 worker, prefetch:    reader thread:  [fetch+decode k+1 … k+R] ─┐
-//!                        this thread:    [join k] ←────────────────┘
-//!
-//! pool (workers ≥ 2):    reader thread:  [paced fetch] → ring of
-//!                                        encoded chunks (seq-tagged)
-//!                        W pool workers: steal next chunk →
-//!                                        [decode] → [join, intra=1,
-//!                                        fresh per-chunk Device]
-//!                        this thread:    [join sample (seq 0)], then
-//!                                        reorder buffer → fold in
-//!                                        ascending seq through the
-//!                                        merger + planner feedback
+//! reader thread:  [paced fetch] → ring of encoded chunks (seq-tagged)
+//! W pool workers: steal next chunk → [decode] → [point pass, intra=1,
+//!                 fresh per-chunk Device] → canvas entries (+ the
+//!                 accurate variant's exact boundary-point slots)
+//! this thread:    [point pass of the sample chunk (seq 0)], then
+//!                 reorder buffer → in ascending seq: replay entries into
+//!                 the scan canvas, fold slots + planner feedback;
+//!                 after the last chunk: [polygon pass, once]
 //! ```
 //!
-//! The single-consumer paths overlap the reads of chunks *k+1 … k+R*
-//! with the processing of chunk *k* via a bounded *readahead ring*
-//! ([`DEFAULT_READAHEAD`] decoded chunks deep,
-//! [`StreamingRasterJoin::with_readahead`]) — the storage/compute
+//! The pool width `W` is the planner's chosen worker count capped by the
+//! executor's configured parallelism; width 1 is the prefetching
+//! single-worker scan. The bounded *readahead ring*
+//! ([`DEFAULT_READAHEAD`] fetched chunks deep,
+//! [`StreamingRasterJoin::with_readahead`]) overlaps the reads of chunks
+//! *k+1 … k+R* with the processing of chunk *k* — the storage/compute
 //! pipelining that SPADE-style disk-resident engines show is where
-//! out-of-core spatial aggregation wins. The pool path additionally
-//! overlaps the *processing* of several chunks with each other: column
-//! decode moves from the reader onto the pool (the reader paces raw
-//! fetches only), and each worker decodes and joins whole chunks
-//! concurrently with its peers.
+//! out-of-core spatial aggregation wins — and the workers overlap the
+//! decode and point pass of several chunks with each other. Blocking
+//! mode runs the same pipeline at width 1 behind a turnstile: the reader
+//! fetches chunk *k+1* only once chunk *k* has been folded, so no read
+//! overlaps a join.
+//!
+//! # One polygon pass per scan
+//!
+//! The §5 combination rule makes the point canvas additive for
+//! distributive aggregates, so one canvas can absorb every chunk of the
+//! table before a single polygon pass. Workers therefore never touch a
+//! canvas: a worker filters its chunk and transforms it to pixels,
+//! emitting the chunk's canvas entries (pixel index and value, binned per
+//! tile, in row order). The consumer replays them into one scan-wide
+//! [`ScanCanvas`] — non-atomic, `u32` counts and `f64` sums per pixel,
+//! because it absorbs the whole table — and runs the polygon pass once
+//! per tile after the last chunk. The accurate variant's boundary points
+//! keep their exact per-chunk PIP path; its slot counts and sums fold
+//! through the [`AggregateMerger`]. The per-call API keeps its meaning:
+//! every `execute_prepared` call on a prepared executor still runs its
+//! own polygon pass, so a caller that wants per-chunk results has them.
 //!
 //! # Determinism
 //!
-//! Every chunk joins with **intra-chunk workers = 1 in all modes** —
-//! parallelism lives at chunk granularity only. Each chunk's counts and
-//! sums are therefore bitwise-reproducible, and the consumer folds
-//! finished chunks through the [`AggregateMerger`] **in ascending chunk
-//! order** (a reorder buffer holds early finishers), so the merged
-//! counts are bit-identical and the merged float sums bitwise-equal
-//! across pool sizes {1, 2, 4, …}, the prefetch arm and the blocking
-//! arm. The planner's per-chunk feedback folds in the same order, so
-//! calibration walks are reproducible too. The cost model encodes the
-//! same rule: [`cost::intra_workers`] pins streaming plans (workloads
-//! with `stored_row_bytes > 0`) to intra-chunk width 1, which also keeps
-//! the shard path off ([`RasterConfig::use_shards`] wants intra-chunk
-//! contention), while [`Plan`]'s `workers` dimension — enumerated and
-//! costed with contention-aware amortization — becomes the chunk-pool
-//! width.
+//! Every chunk's point pass runs at intra-chunk width 1, so its entries
+//! come out in row order and its boundary slots are bitwise-reproducible.
+//! The consumer replays entries and folds slots **in ascending chunk
+//! order** (a `ReorderBuffer` holds early finishers), so the scan
+//! canvas holds the same values at every pool width and in blocking
+//! mode. Then one resolve: the bounded pass adds to each result slot once
+//! per tile, in tile order, and the accurate pass sums per triangle and
+//! folds per polygon in triangle order — so the final pass may run at
+//! the pool width, and merged counts are bit-identical and float sums
+//! bitwise-equal across pool sizes {1, 2, 4, …} and the blocking mode.
+//! The planner's per-chunk feedback folds in the same order, so
+//! calibration walks are reproducible too. The planner encodes the same
+//! rule: streaming plans (workloads with `stored_row_bytes > 0`) carry
+//! the one pipeline config a scan runs, [`cost::STREAMED_CONFIG`]
+//! (chunks always bin their entries and never shard), and
+//! [`cost::intra_workers`] pins them to intra-chunk width 1, while
+//! [`Plan`]'s `workers` dimension — enumerated and costed with
+//! contention-aware amortization — becomes the pool width.
 //!
 //! The concurrency invariants behind this guarantee — every chunk folded
-//! exactly once, in ascending sequence order, at any worker interleaving
-//! — are enumerated in `docs/INVARIANTS.md` and model-checked
-//! exhaustively by `crates/checker` (run
-//! `cargo run --release -p checker --bin modelcheck`), whose ring model
-//! is a step-for-step small model of this reader → ring → workers →
-//! reorder-buffer pipeline.
+//! exactly once, replayed in ascending sequence order, one resolve after
+//! the last chunk and none after an error — are enumerated in
+//! `docs/INVARIANTS.md` and model-checked exhaustively by
+//! `crates/checker` (run `cargo run --release -p checker --bin
+//! modelcheck`), whose ring and error models are step-for-step small
+//! models of this reader → ring → workers → reorder-buffer pipeline.
 //!
 //! # Sizing: readahead vs. workers
 //!
-//! The ring and the pool size multiply the peak in-flight footprint:
-//! the pool holds up to `max(readahead, workers+1)` fetched-but-unjoined
-//! chunks (a shallow readahead is widened so the ring can feed every
-//! worker), plus one chunk decoding or joining per worker, plus whatever
-//! early finishers the reorder buffer holds while an older chunk is
-//! still in flight. Readahead rides out per-chunk *read* jitter against
-//! the modelled disk; workers ride out per-chunk *processing* jitter and
-//! buy genuine multi-core overlap — on a single-core box the pool
-//! degenerates gracefully (the busy-interval union equals the sum of
-//! busy spans, and 1-worker scans keep the historical pipeline
-//! bit-for-bit).
+//! The peak footprint is one scan canvas (12 B per pixel, 4 B for a
+//! COUNT) plus the pipeline: up to `max(readahead, workers+1)`
+//! fetched-but-undecoded chunks in the ring (a shallow readahead is
+//! widened so the ring can feed every worker), one chunk decoding per
+//! worker, and the entries (8 B per surviving point) of whatever early
+//! finishers the reorder buffer holds while an older chunk is still in
+//! flight. No canvas exists per in-flight chunk any more. A tiled
+//! canvas is held whole, every tile at once, so on a canvas of many
+//! tiles the scan canvas outweighs the one 8 B-per-pixel tile per
+//! in-flight chunk that a per-chunk resolve held. Readahead rides
+//! out per-chunk *read* jitter against the modelled disk; workers ride
+//! out per-chunk *processing* jitter and buy multi-core overlap — on a
+//! single-core box the pool degenerates gracefully (the busy-interval
+//! union equals the sum of busy spans).
 //!
 //! The executor is planner-driven end to end:
 //!
@@ -90,25 +106,24 @@
 //!    batch model);
 //! 3. the polygon side is prepared once
 //!    ([`crate::BoundedRasterJoin::prepare`] /
-//!    [`crate::AccurateRasterJoin::prepare`])
-//!    and every chunk runs `execute_prepared`;
-//! 4. per-chunk outputs fold through the shared
-//!    [`AggregateMerger`] — the §5 distributive-aggregate combination
-//!    rule (counts and sums both; AVG derives from the merged
-//!    accumulators) — and each chunk's predicted-vs-actual processing
-//!    time feeds the planner's calibration, which persists across
-//!    processes when a calibration path is configured
-//!    ([`StreamingRasterJoin::with_calibration_path`]).
+//!    [`crate::AccurateRasterJoin::prepare`]), every chunk runs the point
+//!    pass and the scan ends with one polygon pass;
+//! 4. per-chunk outputs fold through the shared [`AggregateMerger`] — the
+//!    §5 distributive-aggregate combination rule (counts and sums both;
+//!    AVG derives from the merged accumulators) — and each chunk's
+//!    predicted-vs-actual point-pass time feeds the planner's
+//!    calibration, which persists across processes when a calibration
+//!    path is configured ([`StreamingRasterJoin::with_calibration_path`]).
 //!
-//! SQL runs straight off disk through the same loop: a query whose FROM
-//! clause names a file (`SELECT AVG(fare) FROM 'taxi.bin', R …`,
+//! SQL runs straight off disk through the same pipeline: a query whose
+//! FROM clause names a file (`SELECT AVG(fare) FROM 'taxi.bin', R …`,
 //! [`crate::sql::file_source`]) resolves its schema from the file header
 //! and streams via [`StreamingRasterJoin::execute_sql`].
 //!
 //! Compressed tables (`raster_data::disk::write_table_compressed`, format
-//! v2/v3) stream through the identical loop: the reader decodes stored
-//! chunk blocks transparently, the prefetch thread overlaps that decode
-//! with both the next read and the join processing, the modelled disk
+//! v2/v3) stream through the identical pipeline: the reader fetches
+//! stored chunk blocks and the pool workers decode them, overlapped with
+//! the next reads and with other chunks' processing; the modelled disk
 //! charges the *compressed* bytes (that is the whole win — the §7.7
 //! experiment is bandwidth-bound), and the planner's workload carries the
 //! storage profile ([`Workload`]'s `stored_row_bytes`/`decode_cols`) so
@@ -135,22 +150,22 @@
 //!
 //! # Accounting
 //!
-//! The merged [`ExecStats`](crate::ExecStats)' `disk` field is the time
-//! the *chunk loop actually waited* for data: with the blocking reader
-//! that is the full read time; with prefetching it is only the residual
-//! stall (first chunk plus whatever the reader could not hide), so
-//! `stats.total()` tracks the real wall clock and the prefetch win shows
-//! up as a shrinking `disk` component. The pool path generalizes the
-//! same split: `processing` becomes the *busy-interval union* — wall
-//! time during which at least one worker was decoding or joining — and
-//! `disk` its complement (the sample read plus the time the whole pool
-//! starved for data), so `total()` still tracks the real wall clock and
-//! chunk-level overlap shows up the same way prefetch overlap always
-//! has. Per-stage timers (`point_stage`, `binning`, `shard_merge`, …)
-//! stay cumulative *across* workers and can sum past `processing` when
-//! chunks overlap. The reader thread's own wall time is reported
-//! separately as [`StreamOutput::read_time`].
+//! The merged [`ExecStats`](crate::ExecStats)' `processing` is the
+//! *busy-interval union*: wall time during which the consumer or at
+//! least one worker was decoding, running a point pass, replaying entries
+//! or running the final polygon pass — the final pass is part of
+//! `processing` and of `polygon_stage`. `disk` is the time the pipeline
+//! starved for data: the sample read plus the wall time nothing was busy.
+//! In blocking mode no read overlaps processing, so `disk` is the full
+//! read time. `stats.total()` therefore tracks the real wall clock, and
+//! read overlap shows up as a shrinking `disk` component. Per-stage
+//! timers (`point_stage`, `binning`, `polygon_stage`, …) stay cumulative
+//! *across* workers and can sum past `processing` when chunks overlap.
+//! The reader thread's own wall time is reported separately as
+//! [`StreamOutput::read_time`].
 
+use crate::accurate::{AccurateRasterJoin, PreparedAccurate};
+use crate::bounded::{BoundedRasterJoin, PreparedBounded};
 use crate::containment;
 use crate::optimizer::{cost, AutoRasterJoin, Plan, Variant, Workload};
 use crate::query::{result_slots, AggregateMerger, JoinOutput, Query};
@@ -160,10 +175,11 @@ use raster_data::faults;
 use raster_data::PointTable;
 use raster_geom::Polygon;
 use raster_gpu::exec::default_workers;
-use raster_gpu::{Device, RasterConfig};
+use raster_gpu::{BinnedBatch, Device, ScanCanvas};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -187,14 +203,14 @@ const SAMPLE_ROWS: usize = 4096;
 /// their modelled duration.
 pub const MODELLED_DISK_BANDWIDTH: f64 = 1.5e9 / raster_gpu::device::SIM_SLOWDOWN;
 
-/// Default depth of the prefetch readahead ring: how many decoded chunks
-/// the background reader may buffer ahead of the join
-/// ([`StreamingRasterJoin::with_readahead`] overrides per scan). One more
-/// chunk is always in flight inside the reader itself, so depth 3 keeps
-/// up to 4 pruned chunk reads ahead of processing — enough to ride out
-/// per-chunk processing jitter against the modelled disk without
-/// buffering an unbounded slice of the table in memory (peak extra
-/// footprint ≈ `readahead + 1` decoded chunks).
+/// Default depth of the readahead ring: how many fetched chunks the
+/// reader may buffer ahead of the pool
+/// ([`StreamingRasterJoin::with_readahead`] overrides per scan; the ring
+/// never holds fewer than `workers + 1`). One more chunk is always in
+/// flight inside the reader itself, so depth 3 keeps up to 4 pruned
+/// chunk reads ahead of processing — enough to ride out per-chunk
+/// processing jitter against the modelled disk without buffering an
+/// unbounded slice of the table in memory.
 pub const DEFAULT_READAHEAD: usize = 3;
 
 /// One streamed query's result and provenance.
@@ -211,15 +227,14 @@ pub struct StreamOutput {
     /// Chunks processed (including the sampled first chunk).
     pub chunks: u32,
     /// Chunk-pool width the scan actually ran with: the plan's worker
-    /// count capped by the executor's configured parallelism; 1 means
-    /// the historical single-consumer pipeline (always 1 in blocking
-    /// mode).
+    /// count capped by the executor's configured parallelism (always 1
+    /// in blocking mode).
     pub pool_workers: usize,
     /// Total rows streamed.
     pub rows: u64,
-    /// Reader-side wall time summed over all `next_chunk` calls —
-    /// overlapped with processing when prefetching, so it can exceed the
-    /// loop's `stats.disk` wait time.
+    /// Reader-side wall time summed over all chunk fetches — overlapped
+    /// with processing when prefetching, so it can exceed the scan's
+    /// `stats.disk` wait time.
     pub read_time: Duration,
     /// Bytes actually fetched from storage: the raw data section for v1
     /// files, the compressed blocks for v2 (the §7.7 experiment is
@@ -335,9 +350,9 @@ struct ScanSetup {
     projection: Option<Vec<usize>>,
 }
 
-/// One (possibly paced) read: pulls the next chunk and, when a modelled
-/// disk bandwidth is set, sleeps out the remainder of the chunk's
-/// modelled read time. Pacing charges the bytes the reader *actually
+/// One (possibly paced) read of the sample chunk: pulls and decodes the
+/// next chunk and, when a modelled disk bandwidth is set, sleeps out the
+/// remainder of the chunk's modelled read time. Pacing charges the bytes the reader *actually
 /// fetched* — compressed files are charged their compressed bytes, which
 /// is exactly where the compression win comes from — and the chunk's
 /// decode time counts toward the same budget, so decompression hides
@@ -364,13 +379,11 @@ fn paced_next(
     Ok(Some((chunk, dt)))
 }
 
-/// [`paced_next`]'s fetch-only sibling for the chunk-parallel pool: pulls
+/// [`paced_next`]'s fetch-only sibling for the pipeline's reader: pulls
 /// the next *encoded* chunk and paces the bytes actually fetched, leaving
 /// decode to a pool worker. Only the raw read sits inside the modelled
 /// disk budget here — decode overlaps processing on the workers, which is
-/// exactly the overlap the pool exists to buy (the single-consumer paths
-/// keep decode inside the budget via [`paced_next`], preserving their
-/// historical accounting).
+/// exactly the overlap the pool exists to buy.
 fn paced_fetch(
     reader: &mut ChunkedReader,
     bandwidth: Option<f64>,
@@ -392,12 +405,11 @@ fn paced_fetch(
     Ok(Some((enc, dt)))
 }
 
-/// Busy-interval union for the pool path's `disk` accounting: the total
-/// wall time during which *at least one* worker was decoding or joining a
-/// chunk. `wall − covered()` is then the time the whole pool sat starved
-/// for data — the multi-worker generalization of the single-consumer
-/// recv-stall measurement (with one worker the union degenerates to the
-/// sum of its busy spans and the residual is exactly the old stall).
+/// Busy-interval union for the pipeline's accounting: the total wall time
+/// during which *at least one* thread was decoding, running a point pass,
+/// replaying entries or resolving. `wall − covered()` is then the time
+/// the whole pipeline sat starved for data (with one busy thread at a
+/// time the union degenerates to the sum of its busy spans).
 struct BusyUnion {
     inner: parking_lot::Mutex<BusyState>,
 }
@@ -493,6 +505,11 @@ impl<T> ReorderBuffer<T> {
 /// A pool worker's finished chunk, travelling back to the folding
 /// consumer tagged with its sequence number.
 struct ChunkDone {
+    /// The chunk's canvas entries, replayed into the scan canvas in
+    /// chunk order.
+    entries: BinnedBatch,
+    /// Result slots (the accurate variant's exact boundary points; empty
+    /// for the bounded variant) and the point pass's stats.
     out: JoinOutput,
     /// Calibration key + raw predicted cost for the planner feedback fold
     /// (computed on the worker; *fed* by the consumer in chunk order so
@@ -506,16 +523,96 @@ struct ChunkDone {
     col_decode: Vec<Duration>,
 }
 
+/// The polygon side of one scan, prepared once: the plan's executor and
+/// its preparation. Chunk point passes run on the executor as configured
+/// (intra-chunk width 1); the final polygon pass runs at the pool width.
+enum Prepared<'a> {
+    Bounded(BoundedRasterJoin, PreparedBounded),
+    Accurate(AccurateRasterJoin, PreparedAccurate<'a>),
+}
+
+impl<'a> Prepared<'a> {
+    fn new(
+        plan: &Plan,
+        chunk_rows: usize,
+        polys: &'a [Polygon],
+        epsilon: f64,
+        dev: &Device,
+    ) -> Self {
+        match plan.variant {
+            Variant::Bounded => {
+                let mut ex = plan.bounded_executor(chunk_rows);
+                ex.workers = 1;
+                let p = ex.prepare(polys, epsilon, dev);
+                Prepared::Bounded(ex, p)
+            }
+            Variant::Accurate => {
+                let mut ex = plan.accurate_executor(chunk_rows);
+                ex.workers = 1;
+                let p = ex.prepare(polys, dev);
+                Prepared::Accurate(ex, p)
+            }
+        }
+    }
+
+    fn point_pass(
+        &self,
+        chunk: &PointTable,
+        query: &Query,
+        dev: &Device,
+    ) -> (BinnedBatch, JoinOutput) {
+        match self {
+            Prepared::Bounded(ex, p) => ex.scan_point_pass(p, chunk, query, dev),
+            Prepared::Accurate(ex, p) => ex.scan_point_pass(p, chunk, query, dev),
+        }
+    }
+
+    /// The scan's one polygon pass over the replayed canvas, at `workers`.
+    fn resolve(
+        &self,
+        canvas: &ScanCanvas,
+        query: &Query,
+        dev: &Device,
+        workers: usize,
+    ) -> JoinOutput {
+        match self {
+            Prepared::Bounded(ex, p) => ex.resolve_scan(p, canvas, query, dev, workers),
+            Prepared::Accurate(ex, p) => ex.resolve_scan(p, canvas, dev, workers),
+        }
+    }
+
+    fn acquire_canvas(&self, with_sums: bool) -> ScanCanvas {
+        match self {
+            Prepared::Bounded(_, p) => p.acquire_scan_canvas(with_sums),
+            Prepared::Accurate(_, p) => p.acquire_scan_canvas(with_sums),
+        }
+    }
+
+    fn release_canvas(&self, canvas: ScanCanvas) {
+        match self {
+            Prepared::Bounded(_, p) => p.release_scan_canvas(canvas),
+            Prepared::Accurate(_, p) => p.release_scan_canvas(canvas),
+        }
+    }
+
+    fn outstanding_canvases(&self) -> usize {
+        match self {
+            Prepared::Bounded(_, p) => p.outstanding_canvases(),
+            Prepared::Accurate(_, p) => p.outstanding_canvases(),
+        }
+    }
+}
+
 /// The streaming out-of-core operator (see module docs).
 pub struct StreamingRasterJoin {
     pub workers: usize,
-    /// Overlap disk reads with join processing via a background reader
-    /// thread (the default). `false` is the paper-faithful §7.7 blocking
-    /// reader, kept as the ablation arm.
+    /// Overlap disk reads with join processing (the default). `false` is
+    /// the paper-faithful §7.7 blocking reader, kept as the ablation arm:
+    /// width 1, and no read starts before the previous chunk is folded.
     pub prefetch: bool,
-    /// Depth of the prefetch readahead ring: decoded chunks the reader
-    /// may buffer ahead of the join ([`DEFAULT_READAHEAD`]); clamped to
-    /// ≥ 1. Ignored in blocking mode.
+    /// Depth of the readahead ring: fetched chunks the reader may buffer
+    /// ahead of the pool ([`DEFAULT_READAHEAD`]); clamped to ≥ 1.
+    /// Ignored in blocking mode.
     pub readahead: usize,
     /// Materialize only the columns the query touches (the default).
     /// `false` reads every column — the full-scan ablation arm.
@@ -528,6 +625,9 @@ pub struct StreamingRasterJoin {
     /// storage's real speed.
     pub disk_bandwidth: Option<f64>,
     planner: AutoRasterJoin,
+    /// Canvases the last scan left checked out (see
+    /// [`StreamingRasterJoin::outstanding_canvases`]).
+    outstanding: AtomicUsize,
 }
 
 impl Default for StreamingRasterJoin {
@@ -540,6 +640,7 @@ impl Default for StreamingRasterJoin {
             chunk_rows: None,
             disk_bandwidth: None,
             planner: AutoRasterJoin::default(),
+            outstanding: AtomicUsize::new(0),
         }
     }
 }
@@ -584,12 +685,6 @@ impl StreamingRasterJoin {
     pub fn with_disk_bandwidth(mut self, bytes_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0, "disk bandwidth must be positive");
         self.disk_bandwidth = Some(bytes_per_sec);
-        self
-    }
-
-    /// Restrict the planner to one pipeline config (builder form).
-    pub fn with_config_override(mut self, config: RasterConfig) -> Self {
-        self.planner.config_override = Some(config);
         self
     }
 
@@ -722,6 +817,47 @@ impl StreamingRasterJoin {
         query: &Query,
         device: &Device,
     ) -> Result<StreamOutput, StreamError> {
+        let setup = self.open_and_plan(path, polys, query, device)?;
+        // Prepare the polygon side once, from the same plan→executor
+        // mapping as `Plan::execute`, with the chunk as the batch size.
+        let prepared = Prepared::new(
+            &setup.plan,
+            setup.chunk_rows,
+            polys,
+            setup.exec_query.epsilon,
+            device,
+        );
+        let out = self.scan(setup, &prepared, result_slots(polys), device);
+        self.outstanding
+            .store(prepared.outstanding_canvases(), Ordering::Release);
+        out
+    }
+
+    /// Canvases the most recent [`StreamingRasterJoin::execute`] left
+    /// checked out of its preparation's pool: zero after every scan,
+    /// failed or not — the first-error shutdown returns the scan canvas.
+    pub fn outstanding_canvases(&self) -> usize {
+        self.outstanding.load(Ordering::Acquire)
+    }
+
+    /// The pool width a scan of `plan` runs at (see module docs).
+    fn pool_width(&self, plan: &Plan) -> usize {
+        if self.prefetch {
+            plan.workers.clamp(1, self.workers.max(1))
+        } else {
+            1
+        }
+    }
+
+    /// The pipeline of module docs: reader → ring → workers → ordered
+    /// replay and fold on this thread, then one polygon pass.
+    fn scan(
+        &self,
+        setup: ScanSetup,
+        prepared: &Prepared<'_>,
+        nslots: usize,
+        device: &Device,
+    ) -> Result<StreamOutput, StreamError> {
         let ScanSetup {
             mut reader,
             rows,
@@ -732,377 +868,121 @@ impl StreamingRasterJoin {
             chunk_rows,
             exec_query,
             projection,
-        } = self.open_and_plan(path, polys, query, device)?;
+        } = setup;
         // Every chunk below is a *projected* table, so the remapped
-        // query addresses it (identical to `query` when pruning is off).
+        // query addresses it (identical to the caller's when pruning is
+        // off).
         let query = &exec_query;
-
-        // Prepare the polygon side once; every chunk is one device batch
-        // (the executors come from the same plan→executor mapping as
-        // `Plan::execute`, with the chunk as the batch size).
-        //
-        // Determinism rule: every chunk joins with intra-chunk workers=1
-        // in *all* modes. Parallelism comes from the chunk pool below
-        // processing several chunks at once; within a chunk the join is
-        // single-threaded, so each chunk's counts and sums are
-        // bitwise-reproducible, and the ordered fold then makes the whole
-        // scan's output bitwise-identical across pool sizes and the
-        // blocking arm. The planner costs the same rule
-        // (`cost::intra_workers` pins streaming plans to intra=1), which
-        // also disables the shard path — `RasterConfig::use_shards` needs
-        // intra-chunk workers > 1 to have contention worth deflecting.
-        let mut bounded = plan.bounded_executor(chunk_rows);
-        bounded.workers = 1;
-        let mut accurate = plan.accurate_executor(chunk_rows);
-        accurate.workers = 1;
-        enum Prepared<'a> {
-            Bounded(crate::bounded::PreparedBounded),
-            Accurate(crate::accurate::PreparedAccurate<'a>),
-        }
-        let prepared = match plan.variant {
-            Variant::Bounded => Prepared::Bounded(bounded.prepare(polys, query.epsilon, device)),
-            Variant::Accurate => Prepared::Accurate(accurate.prepare(polys, device)),
-        };
-
+        let width = self.pool_width(&plan);
         // The calibration snapshot for raw (uncorrected) per-chunk costs;
         // feedback only moves the per-key corrections, so a snapshot
         // taken once stays the right baseline for the whole scan.
         let cal = self.planner.calibration();
-        let mut merger = AggregateMerger::new(result_slots(polys));
+        let mut merger = AggregateMerger::new(nslots);
+        let mut chunks = 0u32;
         let mut read_time = sample_read;
-        // Time the loop observably waited for data; the sample read is a
-        // wait in both modes.
-        let mut stall = sample_read;
-        // Reader-side byte/decode accounting; covers the sample read now,
-        // finalized from wherever the reader ends up (the prefetch thread
-        // hands its counters back on join).
+        let mut disk = sample_read;
+        let mut processing = None;
+        // Reader-side byte/decode accounting: covers the sample read now,
+        // superseded by the reader thread's final tallies.
         let mut read_bytes = reader.bytes_read();
         let mut decode_time = reader.decode_time();
         let mut column_io = reader.column_io().to_vec();
-        // Retry/degradation counters; the reader threads hand their final
-        // tallies back on join, superseding this open-time snapshot.
         let mut recovery = reader.recovery().clone();
 
-        // One chunk's join + its planner-feedback ingredients, against an
-        // explicit device so pool workers can substitute a fresh one.
-        // Captures only `Sync` state — safe to share across the pool.
-        let run_chunk_on = |chunk: &PointTable, dev: &Device| -> (JoinOutput, usize, f64) {
-            let out = match &prepared {
-                Prepared::Bounded(p) => bounded.execute_prepared(p, chunk, query, dev),
-                Prepared::Accurate(p) => accurate.execute_prepared(p, chunk, query, dev),
-            };
+        // One chunk's point pass + its planner-feedback ingredients,
+        // against an explicit device so pool workers can substitute a
+        // fresh one. Captures only `Sync` state.
+        let run_chunk = |chunk: &PointTable, dev: &Device| -> ChunkDone {
+            let (entries, out) = prepared.point_pass(chunk, query, dev);
             let chunk_wl = Workload {
                 n_points: chunk.len(),
                 ..wl
             };
             let sh = cost::shape(&plan, &chunk_wl, dev);
             let mut features = cost::features_for(&plan, &chunk_wl, dev, &sh);
-            // The accurate variant's outline pass is a per-query one-off
-            // that `execute_prepared` (rightly) does not re-run per
-            // chunk; its feature must not be charged against per-chunk
-            // actuals or every chunk would observe biased-low and drag
-            // the plan key's correction down.
-            features[cost::W_OUTLINE_PX] = 0.0;
-            // Read and decode happen off the join's critical path (the
-            // reader thread or a pool worker overlaps them with other
-            // chunks' processing), so they are not in the measured
-            // per-chunk processing either.
-            features[cost::W_READ_BYTE] = 0.0;
-            features[cost::W_DECODE_VAL] = 0.0;
-            (out, cost::effective_key_of(&plan, &sh), cal.raw(&features))
+            // A chunk's measured work is its point pass. The one-offs of
+            // the scan — the outline pass, the canvas clear and the
+            // polygon pass with its fragments, all run once — are not in
+            // it, and neither are the read and decode the reader and
+            // workers overlap with other chunks; charging them here
+            // would make every chunk observe biased-low and drag the
+            // plan key's correction down.
+            for slot in [
+                cost::W_OUTLINE_PX,
+                cost::W_CLEAR_PX,
+                cost::W_FRAG,
+                cost::W_PASS,
+                cost::W_READ_BYTE,
+                cost::W_DECODE_VAL,
+            ] {
+                features[slot] = 0.0;
+            }
+            ChunkDone {
+                entries,
+                out,
+                key: cost::effective_key_of(&plan, &sh),
+                raw: cal.raw(&features),
+                fetch: Duration::ZERO,
+                decode: Duration::ZERO,
+                col_decode: Vec::new(),
+            }
         };
-        // The serial fold: planner feedback + merger, always called in
-        // ascending chunk order (the pool's reorder buffer guarantees it)
-        // so calibration walks and merged sums are deterministic.
-        let mut absorb = |out: JoinOutput, key: usize, raw: f64| {
-            self.planner.feed(key, raw, out.stats.processing);
-            merger.fold(&out);
-        };
-
-        // Chunk-pool width: the planner's chosen worker count, capped by
-        // this executor's configured parallelism. Blocking mode and
-        // width ≤ 1 take the historical single-consumer paths, which keep
-        // chunk decode inside the paced-disk budget; the pool paces raw
-        // fetches only and lets decode overlap processing on the workers.
-        let pool_workers = if self.prefetch {
-            plan.workers.min(self.workers.max(1))
-        } else {
-            1
-        };
-        // Pool-mode (wall, busy-union) pair for the finale's accounting.
-        let mut pool_times: Option<(Duration, Duration)> = None;
 
         if !sample.is_empty() {
-            // Defer the sample chunk's processing until after the reader
-            // thread is spawned, so the read of chunk #2 overlaps it.
-            if self.prefetch && pool_workers > 1 {
-                // Chunk-parallel pool. Three stages:
-                //   reader thread — paced fetch of *encoded* chunks
-                //     (I/O only) into a bounded ring;
-                //   pool workers  — steal the next fetched chunk, decode
-                //     it and run the single-threaded join against a
-                //     fresh per-chunk Device (the transfer ledger is the
-                //     one piece of cross-chunk mutable device state);
-                //   this thread   — processes the sample chunk (seq 0),
-                //     then folds finished chunks in ascending sequence
-                //     through the merger and planner feedback.
-                let bandwidth = self.disk_bandwidth;
-                // The ring must hold at least one fetched chunk per
-                // worker plus one spare, or a shallow readahead setting
-                // would starve the pool it is supposed to feed.
-                let ring = self.readahead.max(1).max(pool_workers + 1);
-                let busy = BusyUnion::new();
-                let wall0 = Instant::now();
-                type Fetched = (u64, io::Result<(EncodedChunk, Duration)>);
-                let (work_tx, work_rx) = mpsc::sync_channel::<Fetched>(ring);
-                let work_rx = Arc::new(parking_lot::Mutex::new(work_rx));
-                let (res_tx, res_rx) = mpsc::channel::<(u64, io::Result<ChunkDone>)>();
+            let busy = BusyUnion::new();
+            let wall0 = Instant::now();
+            let mut canvas = prepared.acquire_canvas(query.aggregate.attr().is_some());
+            let bandwidth = self.disk_bandwidth;
+            // The ring must hold at least one fetched chunk per worker
+            // plus one spare, or a shallow readahead setting would starve
+            // the pool it is supposed to feed.
+            let ring = self.readahead.max(1).max(width + 1);
+            type Fetched = (u64, io::Result<(EncodedChunk, Duration)>);
+            let (work_tx, work_rx) = mpsc::sync_channel::<Fetched>(ring);
+            let work_rx = Arc::new(parking_lot::Mutex::new(work_rx));
+            let (res_tx, res_rx) = mpsc::channel::<(u64, io::Result<ChunkDone>)>();
+            // Blocking mode's turnstile: one ticket per folded chunk, and
+            // the reader fetches only with a ticket in hand.
+            let (ack_tx, ack_rx) = (!self.prefetch).then(mpsc::channel::<()>).unzip();
 
-                let (first_err, bytes, sample_decode, cols, rec, pool_read, pool_decode, pool_cols) =
-                    crossbeam::thread::scope(|s| {
-                        // Reader: fetch + pace only; decode runs on the
-                        // pool. Hands its byte/per-column counters back.
-                        // The fetch loop runs contained: a panic inside
-                        // the reader (or the `stream.reader` failpoint's
-                        // panic kind) becomes one more error on the ring,
-                        // taking the same first-error shutdown path as an
-                        // I/O failure.
-                        let reader_handle = s.spawn(move |_| {
-                            let mut seq = 1u64; // the sample is seq 0
-                            let ran = containment::contained(|| loop {
-                                if let Some(kind) = faults::hit(faults::STREAM_READER) {
-                                    if kind == faults::FaultKind::Panic {
-                                        panic!("injected fault: stream.reader");
-                                    }
-                                    let _ = work_tx.send((seq, Err(faults::io_error(kind))));
-                                    break;
-                                }
-                                match paced_fetch(&mut reader, bandwidth) {
-                                    Ok(Some(pair)) => {
-                                        if work_tx.send((seq, Ok(pair))).is_err() {
-                                            break; // pool bailed
-                                        }
-                                        seq += 1;
-                                    }
-                                    Ok(None) => break,
-                                    Err(e) => {
-                                        let _ = work_tx.send((seq, Err(e)));
-                                        break;
-                                    }
-                                }
-                            });
-                            if let Err(msg) = ran {
-                                let _ = work_tx.send((seq, Err(containment::panic_error(msg))));
-                            }
-                            (
-                                reader.bytes_read(),
-                                reader.decode_time(),
-                                reader.column_io().to_vec(),
-                                reader.recovery().clone(),
-                            )
-                        });
-                        for _ in 0..pool_workers {
-                            let work_rx = Arc::clone(&work_rx);
-                            let res_tx = res_tx.clone();
-                            let busy = &busy;
-                            let run_chunk_on = &run_chunk_on;
-                            let dev_cfg = device.config();
-                            s.spawn(move |_| loop {
-                                // Work stealing at chunk granularity:
-                                // whichever worker goes idle first takes
-                                // the next fetched chunk off the shared
-                                // ring (a blocking recv under a mutex —
-                                // the queue itself is the steal point).
-                                let Ok((seq, fetched)) = work_rx.lock().recv() else {
-                                    break; // reader hung up, ring drained
-                                };
-                                // Contained decode+join: a panicking
-                                // worker still sends *something* for its
-                                // claimed seq — otherwise the consumer's
-                                // reorder buffer would wait on that seq
-                                // forever and the query would either hang
-                                // or fold a silent partial aggregate.
-                                let done = match containment::contained(|| {
-                                    fetched.and_then(|(enc, fetch)| {
-                                        match faults::hit(faults::STREAM_WORKER) {
-                                            Some(faults::FaultKind::Panic) => {
-                                                panic!("injected fault: stream.worker")
-                                            }
-                                            Some(kind) => return Err(faults::io_error(kind)),
-                                            None => {}
-                                        }
-                                        busy.track(|| {
-                                            enc.decode().map(|dec| {
-                                                let dev = Device::new(dev_cfg);
-                                                let (out, key, raw) =
-                                                    run_chunk_on(&dec.table, &dev);
-                                                ChunkDone {
-                                                    out,
-                                                    key,
-                                                    raw,
-                                                    fetch,
-                                                    decode: dec.decode_time,
-                                                    col_decode: dec.col_decode,
-                                                }
-                                            })
-                                        })
-                                    })
-                                }) {
-                                    Ok(done) => done,
-                                    Err(msg) => Err(containment::panic_error(msg)),
-                                };
-                                if res_tx.send((seq, done)).is_err() {
-                                    break; // consumer bailed
-                                }
-                            });
-                        }
-                        drop(res_tx);
-
-                        // The sample is seq 0: processed here, inside the
-                        // busy union, while the pool already fetches and
-                        // joins chunks 1…R behind it.
-                        let sample_done = busy.track(|| {
-                            let (out, key, raw) = run_chunk_on(&sample, device);
-                            ChunkDone {
-                                out,
-                                key,
-                                raw,
-                                fetch: Duration::ZERO,
-                                decode: Duration::ZERO,
-                                col_decode: Vec::new(),
-                            }
-                        });
-
-                        // Ordered fold: the reorder buffer releases chunks
-                        // in ascending seq, so merged sums, calibration
-                        // feedback and error precedence are identical to
-                        // the sequential loop's.
-                        let mut pending: ReorderBuffer<io::Result<ChunkDone>> =
-                            ReorderBuffer::new(0);
-                        pending.insert(0, Ok(sample_done));
-                        let mut first_err: Option<io::Error> = None;
-                        let mut pool_read = Duration::ZERO;
-                        let mut pool_decode = Duration::ZERO;
-                        let mut pool_cols: Vec<Duration> = Vec::new();
-                        loop {
-                            while first_err.is_none() {
-                                match pending.pop_next() {
-                                    Some(Ok(done)) => {
-                                        pool_read += done.fetch;
-                                        pool_decode += done.decode;
-                                        for (ci, d) in done.col_decode.iter().enumerate() {
-                                            if pool_cols.len() <= ci {
-                                                pool_cols.resize(ci + 1, Duration::ZERO);
-                                            }
-                                            pool_cols[ci] += *d;
-                                        }
-                                        absorb(done.out, done.key, done.raw);
-                                    }
-                                    Some(Err(e)) => first_err = Some(e),
-                                    None => break,
-                                }
-                            }
-                            if first_err.is_some() {
-                                break;
-                            }
-                            match res_rx.recv() {
-                                Ok((seq, done)) => {
-                                    pending.insert(seq, done);
-                                }
-                                Err(_) => break, // every worker finished
-                            }
-                        }
-                        // Unblock the pipeline before the scope joins:
-                        // dropping the receivers fails the workers' sends,
-                        // the workers exit and drop their ring handles,
-                        // and the reader's ring send then fails too.
-                        drop(res_rx);
-                        drop(work_rx);
-                        // The reader loop itself is contained, so a join
-                        // error here means the panic escaped the fetch
-                        // loop (e.g. inside the counter hand-back). Fold
-                        // it into the error slot instead of aborting; the
-                        // counters are unknowable, so they stay zero.
-                        let (bytes, sample_decode, cols, rec) = match reader_handle.join() {
-                            Ok(counters) => counters,
-                            Err(p) => {
-                                let msg = containment::panic_msg(p.as_ref());
-                                first_err.get_or_insert_with(|| containment::panic_error(msg));
-                                (0, Duration::ZERO, Vec::new(), FaultRecovery::default())
-                            }
-                        };
-                        (
-                            first_err,
-                            bytes,
-                            sample_decode,
-                            cols,
-                            rec,
-                            pool_read,
-                            pool_decode,
-                            pool_cols,
-                        )
-                    })
-                    .map_err(|p| {
-                        // A pool worker's spawn closure unwound outside
-                        // its contained region; crossbeam re-raises it at
-                        // scope exit. Surface it typed.
-                        StreamError::WorkerPanicked(containment::panic_msg(p.as_ref()))
-                    })?;
-                if let Some(e) = first_err {
-                    return Err(e.into());
-                }
-                recovery = rec;
-                read_time += pool_read;
-                read_bytes = bytes;
-                // The reader only saw the sample decode; the chunks'
-                // decode ran on the workers.
-                decode_time = sample_decode + pool_decode;
-                column_io = cols;
-                for (ci, d) in pool_cols.iter().enumerate() {
-                    if let Some(c) = column_io.get_mut(ci) {
-                        c.decode_time += *d;
-                    }
-                }
-                pool_times = Some((wall0.elapsed(), busy.covered()));
-            } else if self.prefetch {
-                let bandwidth = self.disk_bandwidth;
-                // The readahead ring: a bounded channel holding up to
-                // `readahead` decoded chunks, with one more always in
-                // flight inside the reader — several pruned chunk reads
-                // stay ahead of the join instead of the old two slots.
-                let (tx, rx) =
-                    mpsc::sync_channel::<io::Result<(PointTable, Duration)>>(self.readahead.max(1));
-                // The reader thread reads AND decodes: decompression of
-                // chunk k+1 overlaps the join processing of chunk k just
-                // like the read itself does. It hands its cumulative
-                // byte/decode/per-column counters back when it finishes.
-                let handle = std::thread::spawn(move || {
-                    // Contained like the pool reader: a panic becomes one
-                    // more error on the ring and the consumer below turns
-                    // it into a typed `WorkerPanicked`.
+            let scanned = crossbeam::thread::scope(|s| {
+                // Reader: fetch + pace only; decode runs on the pool. The
+                // fetch loop runs contained: a panic inside it (or the
+                // `stream.reader` failpoint's panic kind) becomes one
+                // more error on the ring, taking the same first-error
+                // shutdown path as an I/O failure.
+                let reader_handle = s.spawn(move |_| {
+                    let mut seq = 1u64; // the sample is seq 0
                     let ran = containment::contained(|| loop {
+                        if let Some(ack) = &ack_rx {
+                            if ack.recv().is_err() {
+                                break; // consumer bailed
+                            }
+                        }
                         if let Some(kind) = faults::hit(faults::STREAM_READER) {
                             if kind == faults::FaultKind::Panic {
                                 panic!("injected fault: stream.reader");
                             }
-                            let _ = tx.send(Err(faults::io_error(kind)));
+                            let _ = work_tx.send((seq, Err(faults::io_error(kind))));
                             break;
                         }
-                        match paced_next(&mut reader, bandwidth) {
+                        match paced_fetch(&mut reader, bandwidth) {
                             Ok(Some(pair)) => {
-                                if tx.send(Ok(pair)).is_err() {
-                                    break; // consumer bailed
+                                if work_tx.send((seq, Ok(pair))).is_err() {
+                                    break; // pool bailed
                                 }
+                                seq += 1;
                             }
                             Ok(None) => break,
                             Err(e) => {
-                                let _ = tx.send(Err(e));
+                                let _ = work_tx.send((seq, Err(e)));
                                 break;
                             }
                         }
                     });
                     if let Err(msg) = ran {
-                        let _ = tx.send(Err(containment::panic_error(msg)));
+                        let _ = work_tx.send((seq, Err(containment::panic_error(msg))));
                     }
                     (
                         reader.bytes_read(),
@@ -1111,79 +991,179 @@ impl StreamingRasterJoin {
                         reader.recovery().clone(),
                     )
                 });
-                let (out, key, raw) = run_chunk_on(&sample, device);
-                absorb(out, key, raw);
-                loop {
-                    let w0 = Instant::now();
-                    match rx.recv() {
-                        Ok(Ok((chunk, dt))) => {
-                            stall += w0.elapsed();
-                            read_time += dt;
-                            let (out, key, raw) = run_chunk_on(&chunk, device);
-                            absorb(out, key, raw);
+                for _ in 0..width {
+                    let work_rx = Arc::clone(&work_rx);
+                    let res_tx = res_tx.clone();
+                    let (busy, run_chunk) = (&busy, &run_chunk);
+                    let dev_cfg = device.config();
+                    s.spawn(move |_| loop {
+                        // Work stealing at chunk granularity: whichever
+                        // worker goes idle first takes the next fetched
+                        // chunk off the shared ring.
+                        let Ok((seq, fetched)) = work_rx.lock().recv() else {
+                            break; // reader hung up, ring drained
+                        };
+                        // Contained decode + point pass: a panicking
+                        // worker still sends *something* for its claimed
+                        // seq — otherwise the reorder buffer would wait on
+                        // that seq forever and the query would either
+                        // hang or fold a silent partial aggregate.
+                        let done = match containment::contained(|| {
+                            fetched.and_then(|(enc, fetch)| {
+                                match faults::hit(faults::STREAM_WORKER) {
+                                    Some(faults::FaultKind::Panic) => {
+                                        panic!("injected fault: stream.worker")
+                                    }
+                                    Some(kind) => return Err(faults::io_error(kind)),
+                                    None => {}
+                                }
+                                busy.track(|| {
+                                    enc.decode().map(|dec| ChunkDone {
+                                        fetch,
+                                        decode: dec.decode_time,
+                                        col_decode: dec.col_decode,
+                                        ..run_chunk(&dec.table, &Device::new(dev_cfg))
+                                    })
+                                })
+                            })
+                        }) {
+                            Ok(done) => done,
+                            Err(msg) => Err(containment::panic_error(msg)),
+                        };
+                        if res_tx.send((seq, done)).is_err() {
+                            break; // consumer bailed
                         }
-                        Ok(Err(e)) => {
-                            drop(rx);
-                            let _ = handle.join();
-                            return Err(e.into());
+                    });
+                }
+                drop(res_tx);
+
+                // The sample is seq 0: its point pass runs here, inside
+                // the busy union, while the pool already fetches and
+                // processes chunks 1…R behind it.
+                let mut pending: ReorderBuffer<io::Result<ChunkDone>> = ReorderBuffer::new(0);
+                pending.insert(0, Ok(busy.track(|| run_chunk(&sample, device))));
+                // Ordered fold: the reorder buffer releases chunks in
+                // ascending seq, so the scan canvas, merged slots,
+                // calibration feedback and error precedence are the same
+                // at every width.
+                let mut first_err: Option<io::Error> = None;
+                let mut pool_read = Duration::ZERO;
+                let mut pool_decode = Duration::ZERO;
+                let mut pool_cols: Vec<Duration> = Vec::new();
+                'fold: loop {
+                    while let Some(done) = pending.pop_next() {
+                        let mut done = match done {
+                            Ok(done) => done,
+                            Err(e) => {
+                                first_err = Some(e);
+                                break 'fold;
+                            }
+                        };
+                        pool_read += done.fetch;
+                        pool_decode += done.decode;
+                        if pool_cols.len() < done.col_decode.len() {
+                            pool_cols.resize(done.col_decode.len(), Duration::ZERO);
                         }
-                        Err(_) => break, // reader finished and hung up
+                        for (acc, d) in pool_cols.iter_mut().zip(&done.col_decode) {
+                            *acc += *d;
+                        }
+                        let replay = busy.track(|| {
+                            let t0 = Instant::now();
+                            canvas.replay(&done.entries);
+                            t0.elapsed()
+                        });
+                        let st = &mut done.out.stats;
+                        st.point_stage += replay;
+                        st.processing += replay;
+                        self.planner.feed(done.key, done.raw, st.processing);
+                        merger.fold(&done.out);
+                        chunks += 1;
+                        if let Some(ack) = &ack_tx {
+                            let _ = ack.send(());
+                        }
+                    }
+                    match res_rx.recv() {
+                        Ok((seq, done)) => pending.insert(seq, done),
+                        Err(_) => break, // every worker finished
                     }
                 }
-                let (bytes, decode, cols, rec) = match handle.join() {
+                // Unblock the pipeline before the scope joins: dropping
+                // the receivers (and the turnstile) fails the workers'
+                // sends, the workers exit and drop their ring handles, and
+                // the reader's ring send — or ticket wait — then fails too.
+                drop(res_rx);
+                drop(work_rx);
+                drop(ack_tx);
+                // The reader loop itself is contained, so a join error
+                // here means the panic escaped the fetch loop (e.g. inside
+                // the counter hand-back). Fold it into the error slot
+                // instead of aborting; the counters are unknowable.
+                let counters = match reader_handle.join() {
                     Ok(counters) => counters,
                     Err(p) => {
-                        return Err(StreamError::WorkerPanicked(containment::panic_msg(
-                            p.as_ref(),
-                        )));
+                        let msg = containment::panic_msg(p.as_ref());
+                        first_err.get_or_insert_with(|| containment::panic_error(msg));
+                        (0, Duration::ZERO, Vec::new(), FaultRecovery::default())
                     }
                 };
-                read_bytes = bytes;
-                decode_time = decode;
-                column_io = cols;
-                recovery = rec;
-            } else {
-                // Paper-faithful §7.7: read, then process, strictly
-                // alternating on one buffer.
-                let (out, key, raw) = run_chunk_on(&sample, device);
-                absorb(out, key, raw);
-                while let Some((chunk, dt)) = paced_next(&mut reader, self.disk_bandwidth)? {
-                    read_time += dt;
-                    stall += dt;
-                    let (out, key, raw) = run_chunk_on(&chunk, device);
-                    absorb(out, key, raw);
+                match first_err {
+                    Some(e) => Err(StreamError::from(e)),
+                    None => Ok((counters, pool_read, pool_decode, pool_cols)),
                 }
-                read_bytes = reader.bytes_read();
-                decode_time = reader.decode_time();
-                column_io = reader.column_io().to_vec();
-                recovery = reader.recovery().clone();
+            })
+            .unwrap_or_else(|p| {
+                // A pool worker's spawn closure unwound outside its
+                // contained region; crossbeam re-raises it at scope exit.
+                Err(StreamError::WorkerPanicked(containment::panic_msg(
+                    p.as_ref(),
+                )))
+            });
+            let (counters, pool_read, pool_decode, pool_cols) = match scanned {
+                Ok(v) => v,
+                Err(e) => {
+                    // First-error shutdown: no resolve, canvas returned.
+                    prepared.release_canvas(canvas);
+                    return Err(e);
+                }
+            };
+            // The scan's one polygon pass, after the last chunk.
+            let fin = busy.track(|| prepared.resolve(&canvas, query, device, width));
+            prepared.release_canvas(canvas);
+            merger.fold(&fin);
+
+            let (bytes, sample_decode, cols, rec) = counters;
+            recovery = rec;
+            read_time += pool_read;
+            read_bytes = bytes;
+            // The reader only decoded the sample; the chunks' decode ran
+            // on the workers.
+            decode_time = sample_decode + pool_decode;
+            column_io = cols;
+            for (c, d) in column_io.iter_mut().zip(&pool_cols) {
+                c.decode_time += *d;
             }
+            let covered = busy.covered();
+            disk = if self.prefetch {
+                sample_read + wall0.elapsed().saturating_sub(covered)
+            } else {
+                read_time
+            };
+            // `merger` sums per-chunk processing; the busy union is the
+            // wall-clock-honest figure (see module docs).
+            processing = Some(covered);
         }
 
-        let chunks = merger.chunks();
         // One save for the whole scan (feed() deliberately does not
         // autosave per chunk); best-effort like execute()'s autosave.
         if chunks > 0 {
             let _ = self.planner.persist();
         }
         let mut output = merger.finish();
-        output.stats.disk = stall;
-        if let Some((wall, covered)) = pool_times {
-            // Pool accounting (see module docs): `processing` is the
-            // busy-interval union — wall time during which at least one
-            // worker was decoding or joining — and `disk` its complement:
-            // the sample read plus the wall time the whole pool starved
-            // for data. `total()` then still tracks the real wall clock
-            // (sample_read + wall + modelled transfer), and chunk-level
-            // overlap shows up exactly like prefetch overlap always has:
-            // as a shrinking `disk` component. The per-stage timers
-            // (`point_stage`, `binning`, `shard_merge`, …) remain
-            // cumulative across workers, so they sum over `processing`
-            // when chunks overlapped.
+        output.stats.disk = disk;
+        if let Some(covered) = processing {
             output.stats.processing = covered;
-            output.stats.disk = sample_read + wall.saturating_sub(covered);
         }
-        if let Prepared::Accurate(p) = &prepared {
+        if let Prepared::Accurate(_, p) = prepared {
             // The one-off conservative outline pass is processing time,
             // charged exactly once per query (not per chunk).
             output.stats.processing += p.outline_time();
@@ -1195,7 +1175,7 @@ impl StreamingRasterJoin {
             plan,
             chunk_rows,
             chunks,
-            pool_workers,
+            pool_workers: width,
             rows,
             read_time,
             read_bytes,
@@ -1305,13 +1285,7 @@ impl StreamingRasterJoin {
                 "blocking reader"
             }
         );
-        // The same width computation as `execute`: the planner's chosen
-        // worker count capped by the executor's configured parallelism.
-        let pool_workers = if self.prefetch {
-            setup.plan.workers.min(self.workers.max(1))
-        } else {
-            1
-        };
+        let pool_workers = self.pool_width(&setup.plan);
         let _ = writeln!(
             out,
             "  workers: {} chunk-pool worker(s) (planner chose {}, executor caps at {})",
@@ -1760,7 +1734,7 @@ mod tests {
             "workers line should show the executor cap: {text}"
         );
         assert!(text.contains(", workers="), "{text}");
-        // Blocking mode always runs the single-consumer loop.
+        // Blocking mode always runs at width 1.
         let blocking = StreamingRasterJoin::new(2)
             .blocking()
             .explain(&path, &polys, &q, &dev)

@@ -29,8 +29,8 @@ fn tmp(tag: &str) -> PathBuf {
     p
 }
 
-/// Pool widths under test. Width 1 exercises the single-consumer
-/// prefetch path, widths 2/4 the chunk-parallel pool.
+/// Pool widths under test: width 1 is the single-worker pipeline,
+/// widths 2/4 the chunk-parallel pool.
 const WIDTHS: [usize; 3] = [1, 2, 4];
 
 struct Fixture {
@@ -252,9 +252,9 @@ fn injected_panics_are_contained_as_typed_errors() {
     for (width, site, res) in results {
         let ctx = format!("width={width} spec={site}");
         match res {
-            // The worker site only fires when the planner engages the
-            // chunk-parallel pool; a prefetch-path run at width 1 is a
-            // clean scan and must then be correct.
+            // The worker site only fires on chunks after the sample; a
+            // scan whose workers never reached the Nth hit is a clean
+            // scan and must then be correct.
             Ok(out) => {
                 assert!(
                     site.starts_with("stream.worker"),
@@ -326,5 +326,37 @@ fn canvas_pool_outstanding_drains_to_zero() {
             0,
             "every acquired canvas must be returned after a pass"
         );
+    }
+}
+
+/// The first-error shutdown returns the consumer-owned scan canvas too:
+/// whichever stage fails, at every width, the scan ends with no canvas
+/// checked out of its preparation's pool — and so does a healthy scan.
+#[test]
+fn scan_canvas_returns_after_first_error_shutdown() {
+    let fx = Fixture::new(2, "scan-canvas");
+    for &width in &WIDTHS {
+        for spec in [
+            "",
+            "stream.reader@2=notfound",
+            "stream.worker@1=corrupt",
+            "disk.read_at%2=notfound",
+        ] {
+            let ctx = format!("width={width} spec={spec:?}");
+            let stream = StreamingRasterJoin::new(width).with_chunk_rows(451);
+            let res = {
+                let _g = faults::install(spec).unwrap();
+                stream.execute(&fx.path, &fx.polys, &fx.q, &fx.dev)
+            };
+            match res {
+                Ok(_) => assert!(spec.is_empty(), "{ctx}: injected fault absorbed"),
+                Err(e) => assert_typed(&e, &ctx),
+            }
+            assert_eq!(
+                stream.outstanding_canvases(),
+                0,
+                "{ctx}: the scan canvas must return to its pool"
+            );
+        }
     }
 }

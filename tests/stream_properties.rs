@@ -1,11 +1,14 @@
 //! Streaming equivalence properties: the planner-driven out-of-core
 //! executor (`StreamingRasterJoin`) must produce exactly the results of
 //! the in-memory join it decomposes — counts bit-identical, sums within
-//! the f32 reassociation tolerance documented on `ShardSet` — across
-//! every `RasterConfig`, odd chunk boundaries (chunk sizes that don't
-//! divide the table), empty tables, and predicate + AVG queries; and the
-//! prefetching reader must be a pure latency optimisation (identical
-//! results to the paper-faithful blocking reader).
+//! the f32 reassociation tolerance documented on `ShardSet` — across odd
+//! chunk boundaries (chunk sizes that don't divide the table), empty
+//! tables, and predicate + AVG queries; and the prefetching reader must
+//! be a pure latency optimisation (identical results to the
+//! paper-faithful blocking reader). Every scan folds its chunks into one
+//! scan-wide canvas and runs its polygon pass once. A scan runs one
+//! pipeline config (`cost::STREAMED_CONFIG`: entries always binned, no
+//! shards), so the "every config" tests below cover that config only.
 
 use proptest::prelude::*;
 use raster_join_repro::data::codec::FormatError;
@@ -14,7 +17,7 @@ use raster_join_repro::data::disk::{
 };
 use raster_join_repro::data::generators::{nyc_extent, TaxiModel};
 use raster_join_repro::data::polygons::synthetic_polygons;
-use raster_join_repro::gpu::RasterConfig;
+use raster_join_repro::join::Variant;
 use raster_join_repro::prelude::*;
 use std::path::PathBuf;
 
@@ -41,16 +44,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Chunked + prefetched execution over a table file equals the
-    /// in-memory execution of the exact plan the stream ran, for all four
-    /// binning × sharding configs, arbitrary (odd) chunk sizes, empty
-    /// tables and predicate + AVG queries.
+    /// in-memory execution of the exact plan the stream ran, for
+    /// arbitrary (odd) chunk sizes, empty tables and predicate + AVG
+    /// queries.
     #[test]
     fn streaming_matches_in_memory_under_every_config(
         seed in any::<u64>(),
         npts in 0usize..5_000,
         chunk in 1usize..1_500,
-        binning in any::<bool>(),
-        sharding in any::<bool>(),
         coarse in any::<bool>(),
         with_pred in any::<bool>(),
     ) {
@@ -71,9 +72,7 @@ proptest! {
 
         let path = tmp(&format!("{seed:x}-{npts}-{chunk}"));
         write_table(&path, &pts).unwrap();
-        let stream = StreamingRasterJoin::new(2)
-            .with_config_override(RasterConfig { binning, sharding })
-            .with_chunk_rows(chunk);
+        let stream = StreamingRasterJoin::new(2).with_chunk_rows(chunk);
         let s = stream.execute(&path, &polys, &q, &dev).unwrap();
 
         // In-memory reference: the exact plan the stream executed.
@@ -87,7 +86,6 @@ proptest! {
 
         // The blocking (paper-faithful) arm is result-identical in counts.
         let blocking = StreamingRasterJoin::new(2)
-            .with_config_override(RasterConfig { binning, sharding })
             .with_chunk_rows(chunk)
             .blocking()
             .execute(&path, &polys, &q, &dev)
@@ -110,7 +108,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// The chunk-parallel pool is a pure latency optimisation. For every
-    /// pipeline config, storage format (v1/v2/v3) and odd chunk size:
+    /// storage format (v1/v2/v3) and odd chunk size:
     /// at each pool width the prefetching pool and the paper-faithful
     /// blocking loop execute the *same* plan and must agree **bitwise**
     /// (counts and f64 sums — intra-chunk joins are single-threaded and
@@ -123,8 +121,6 @@ proptest! {
         seed in any::<u64>(),
         npts in 4_500usize..7_000,
         chunk in 301usize..900,
-        binning in any::<bool>(),
-        sharding in any::<bool>(),
         fmt in 0u8..3,
         with_pred in any::<bool>(),
     ) {
@@ -147,12 +143,7 @@ proptest! {
             1 => write_table_compressed_v2(&path, &pts, 1_100).unwrap(),
             _ => write_table_compressed(&path, &pts, 1_100).unwrap(),
         }
-        let config = RasterConfig { binning, sharding };
-        let mk = |w: usize| {
-            StreamingRasterJoin::new(w)
-                .with_config_override(config)
-                .with_chunk_rows(chunk)
-        };
+        let mk = |w: usize| StreamingRasterJoin::new(w).with_chunk_rows(chunk);
         // The operator minus the worker count: widths may legitimately
         // change the planner's pick (serial stages amortize differently),
         // and only like plans are comparable bitwise.
@@ -193,11 +184,11 @@ proptest! {
     }
 }
 
-/// The pinned determinism matrix (ISSUE 6 acceptance): all four
-/// `RasterConfig`s × pool widths {1, 2, 4} × the blocking arm, at a fixed
-/// seed and an odd chunk size, produce counts bit-identical and sums
-/// bitwise-equal whenever the chosen operator agrees — and the width-1
-/// scan *is* the historical single-consumer pipeline (`pool_workers` 1).
+/// The pinned determinism matrix: pool widths {1, 2, 4} × the blocking
+/// arm, at a fixed seed and an odd chunk size, produce counts
+/// bit-identical and sums bitwise-equal whenever the chosen operator
+/// agrees — and the width-1 scan runs a single pipeline worker
+/// (`pool_workers` 1).
 #[test]
 fn worker_matrix_is_deterministic_for_every_config() {
     let extent = nyc_extent();
@@ -215,57 +206,51 @@ fn worker_matrix_is_deterministic_for_every_config() {
     let path = tmp("worker-matrix");
     write_table(&path, &pts).unwrap();
 
-    for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
-        let config = RasterConfig { binning, sharding };
-        let run = |w: usize, blocking: bool| {
-            let mut s = StreamingRasterJoin::new(w)
-                .with_config_override(config)
-                .with_chunk_rows(997);
-            if blocking {
-                s = s.blocking();
-            }
-            s.execute(&path, &polys, &q, &dev).unwrap()
-        };
-        let base = run(1, false);
-        assert_eq!(base.pool_workers, 1, "{config:?}");
-        let strip = |s: &StreamOutput| {
-            let d = s.plan.describe();
-            d[..d.rfind(", workers=").unwrap()].to_string()
-        };
-        for w in [2usize, 4] {
-            let pool = run(w, false);
-            let blocking = run(w, true);
-            // Same width ⇒ same plan; pool vs blocking is pure execution
-            // strategy and must agree bitwise, counts and sums.
-            assert_eq!(strip(&pool), strip(&blocking), "{config:?} w={w}");
+    let run = |w: usize, blocking: bool| {
+        let mut s = StreamingRasterJoin::new(w).with_chunk_rows(997);
+        if blocking {
+            s = s.blocking();
+        }
+        s.execute(&path, &polys, &q, &dev).unwrap()
+    };
+    let base = run(1, false);
+    assert_eq!(base.pool_workers, 1, "width 1");
+    // A scan runs one pipeline config, and its plan says so.
+    let desc = base.plan.describe();
+    assert!(desc.contains("sharding=off"), "{desc}");
+    let strip = |s: &StreamOutput| {
+        let d = s.plan.describe();
+        d[..d.rfind(", workers=").unwrap()].to_string()
+    };
+    for w in [2usize, 4] {
+        let pool = run(w, false);
+        let blocking = run(w, true);
+        // Same width ⇒ same plan; pool vs blocking is pure execution
+        // strategy and must agree bitwise, counts and sums.
+        assert_eq!(strip(&pool), strip(&blocking), "w={w}");
+        assert_eq!(pool.output.counts, blocking.output.counts, "w={w}");
+        assert_eq!(
+            pool.output.sums, blocking.output.sums,
+            "w={w}: bitwise sums"
+        );
+        assert_eq!(pool.chunks, blocking.chunks);
+        // Cross-width: bitwise whenever the planner kept the operator.
+        if strip(&pool) == strip(&base) {
+            assert_eq!(pool.output.counts, base.output.counts, "w={w}");
             assert_eq!(
-                pool.output.counts, blocking.output.counts,
-                "{config:?} w={w}"
+                pool.output.sums, base.output.sums,
+                "w={w}: bitwise sums vs width 1"
             );
-            assert_eq!(
-                pool.output.sums, blocking.output.sums,
-                "{config:?} w={w}: bitwise sums"
-            );
-            assert_eq!(pool.chunks, blocking.chunks);
-            // Cross-width: bitwise whenever the planner kept the operator.
-            if strip(&pool) == strip(&base) {
-                assert_eq!(pool.output.counts, base.output.counts, "{config:?} w={w}");
-                assert_eq!(
-                    pool.output.sums, base.output.sums,
-                    "{config:?} w={w}: bitwise sums vs width 1"
-                );
-            }
         }
     }
     std::fs::remove_file(&path).ok();
 }
 
 /// The compressed (v2) table must stream to *exactly* the raw (v1)
-/// table's results under every pipeline config: the planner picks the
-/// same chunk size for both files, the reader re-slices stored blocks to
-/// that delivery size, and decode is bit-exact — so not only counts but
-/// the f32 sum folds are identical, and both match the in-memory
-/// execution of the same plan.
+/// table's results: the planner picks the same chunk size for both
+/// files, the reader re-slices stored blocks to that delivery size, and
+/// decode is bit-exact — so not only counts but the sum folds are
+/// identical, and both match the in-memory execution of the same plan.
 #[test]
 fn compressed_streaming_matches_raw_and_in_memory_for_all_configs() {
     let extent = nyc_extent();
@@ -288,55 +273,48 @@ fn compressed_streaming_matches_raw_and_in_memory_for_all_configs() {
     // chunks the device budget implies, exercising the re-slicing path.
     write_table_compressed(&z_path, &pts, 1_700).unwrap();
 
-    for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
-        let config = RasterConfig { binning, sharding };
-        // One worker: multi-worker sharded accumulation reassociates the
-        // f32 folds nondeterministically run-to-run (orthogonal to
-        // compression), and this test asserts *bitwise* sum equality.
-        let exec = |p: &std::path::Path| {
-            StreamingRasterJoin::new(1)
-                .with_config_override(config)
-                .execute(p, &polys, &q, &dev)
-                .unwrap()
-        };
-        let raw = exec(&raw_path);
-        let z = exec(&z_path);
-        assert_eq!(z.chunk_rows, raw.chunk_rows, "{config:?}");
-        assert_eq!(z.rows, raw.rows);
-        assert!(
-            z.read_bytes < raw.read_bytes,
-            "{config:?}: compressed scan must read fewer bytes ({} vs {})",
-            z.read_bytes,
-            raw.read_bytes
-        );
-        assert_eq!(z.output.counts, raw.output.counts, "{config:?}");
-        // Bit-exact decode + identical chunking ⇒ identical fold order.
-        assert_eq!(z.output.sums, raw.output.sums, "{config:?}");
+    let exec = |p: &std::path::Path| {
+        StreamingRasterJoin::new(1)
+            .execute(p, &polys, &q, &dev)
+            .unwrap()
+    };
+    let raw = exec(&raw_path);
+    let z = exec(&z_path);
+    assert_eq!(z.chunk_rows, raw.chunk_rows);
+    assert_eq!(z.rows, raw.rows);
+    assert!(
+        z.read_bytes < raw.read_bytes,
+        "compressed scan must read fewer bytes ({} vs {})",
+        z.read_bytes,
+        raw.read_bytes
+    );
+    assert_eq!(z.output.counts, raw.output.counts);
+    // Bit-exact decode + identical chunking ⇒ identical fold order.
+    assert_eq!(z.output.sums, raw.output.sums);
 
-        let reference = raw.plan.execute(&pts, &polys, &q, &dev);
-        assert_eq!(raw.output.counts, reference.counts, "{config:?}");
-        for (i, (g, w)) in z
-            .output
-            .values(Aggregate::Avg(fare))
-            .iter()
-            .zip(&reference.values(Aggregate::Avg(fare)))
-            .enumerate()
-        {
-            assert!(
-                (g - w).abs() <= 1e-5 * w.abs().max(1.0),
-                "{config:?} slot {i}: {g} vs {w}"
-            );
-        }
+    let reference = raw.plan.execute(&pts, &polys, &q, &dev);
+    assert_eq!(raw.output.counts, reference.counts);
+    for (i, (g, w)) in z
+        .output
+        .values(Aggregate::Avg(fare))
+        .iter()
+        .zip(&reference.values(Aggregate::Avg(fare)))
+        .enumerate()
+    {
+        assert!(
+            (g - w).abs() <= 1e-5 * w.abs().max(1.0),
+            "slot {i}: {g} vs {w}"
+        );
     }
     std::fs::remove_file(&raw_path).ok();
     std::fs::remove_file(&z_path).ok();
 }
 
 /// Projection pushdown must be invisible in results across the whole
-/// matrix: pruned scan ≡ full scan ≡ in-memory for all four
-/// `RasterConfig`s, over v1 (raw), v2 (legacy compressed, full-block
-/// fallback) and v3 (per-column directory) files, at an odd chunk size,
-/// with a query whose predicate column is *not* its aggregate column.
+/// matrix: pruned scan ≡ full scan ≡ in-memory, over v1 (raw), v2
+/// (legacy compressed, full-block fallback) and v3 (per-column
+/// directory) files, at an odd chunk size, with a query whose predicate
+/// column is *not* its aggregate column.
 /// Counts bit-identical; sums *bitwise* equal (single worker + fixed
 /// chunking ⇒ identical fold order, and pruning must not perturb it).
 #[test]
@@ -366,50 +344,46 @@ fn pruned_scan_equals_full_scan_and_in_memory_for_all_configs_and_formats() {
     write_table_compressed(&v3, &pts, 1_300).unwrap();
 
     for (path, fmt) in [(&v1, "v1"), (&v2, "v2"), (&v3, "v3")] {
-        for (binning, sharding) in [(false, false), (true, false), (false, true), (true, true)] {
-            let config = RasterConfig { binning, sharding };
-            let exec = |prune: bool| {
-                StreamingRasterJoin::new(1)
-                    .with_config_override(config)
-                    .with_chunk_rows(997)
-                    .with_column_pruning(prune)
-                    .execute(path, &polys, &q, &dev)
-                    .unwrap()
-            };
-            let pruned = exec(true);
-            let full = exec(false);
-            assert_eq!(pruned.rows, 9_000, "{fmt} {config:?}");
-            assert_eq!(pruned.output.counts, full.output.counts, "{fmt} {config:?}");
-            assert_eq!(
-                pruned.output.sums, full.output.sums,
-                "{fmt} {config:?}: sums must be bitwise equal"
+        let exec = |prune: bool| {
+            StreamingRasterJoin::new(1)
+                .with_chunk_rows(997)
+                .with_column_pruning(prune)
+                .execute(path, &polys, &q, &dev)
+                .unwrap()
+        };
+        let pruned = exec(true);
+        let full = exec(false);
+        assert_eq!(pruned.rows, 9_000, "{fmt}");
+        assert_eq!(pruned.output.counts, full.output.counts, "{fmt}");
+        assert_eq!(
+            pruned.output.sums, full.output.sums,
+            "{fmt}: sums must be bitwise equal"
+        );
+        // v1 and v3 prune bytes off the wire; v2 can only skip decode.
+        if fmt == "v2" {
+            assert_eq!(pruned.read_bytes, full.read_bytes, "{fmt}");
+        } else {
+            assert!(
+                pruned.read_bytes < full.read_bytes,
+                "{fmt}: {} vs {}",
+                pruned.read_bytes,
+                full.read_bytes
             );
-            // v1 and v3 prune bytes off the wire; v2 can only skip decode.
-            if fmt == "v2" {
-                assert_eq!(pruned.read_bytes, full.read_bytes, "{fmt} {config:?}");
-            } else {
-                assert!(
-                    pruned.read_bytes < full.read_bytes,
-                    "{fmt} {config:?}: {} vs {}",
-                    pruned.read_bytes,
-                    full.read_bytes
-                );
-            }
-            // In-memory reference: the exact plan the stream executed,
-            // over the unprojected table with the original query. Counts
-            // bit-identical; sums within the f64 chunk-reassociation
-            // tolerance (the chunk loop folds per-chunk partial sums in a
-            // different order than the one-shot in-memory batch — the
-            // *bitwise* guarantee is pruned ≡ full above, which share the
-            // chunking).
-            let reference = pruned.plan.execute(&pts, &polys, &q, &dev);
-            assert_eq!(pruned.output.counts, reference.counts, "{fmt} {config:?}");
-            for (i, (g, w)) in pruned.output.sums.iter().zip(&reference.sums).enumerate() {
-                assert!(
-                    (g - w).abs() <= 1e-9 * w.abs().max(1.0),
-                    "{fmt} {config:?} slot {i}: {g} vs {w}"
-                );
-            }
+        }
+        // In-memory reference: the exact plan the stream executed,
+        // over the unprojected table with the original query. Counts
+        // bit-identical; sums within the f64 chunk-reassociation
+        // tolerance (the chunk loop folds per-chunk partial sums in a
+        // different order than the one-shot in-memory batch — the
+        // *bitwise* guarantee is pruned ≡ full above, which share the
+        // chunking).
+        let reference = pruned.plan.execute(&pts, &polys, &q, &dev);
+        assert_eq!(pruned.output.counts, reference.counts, "{fmt}");
+        for (i, (g, w)) in pruned.output.sums.iter().zip(&reference.sums).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-9 * w.abs().max(1.0),
+                "{fmt} slot {i}: {g} vs {w}"
+            );
         }
     }
     std::fs::remove_file(&v1).ok();
@@ -482,4 +456,78 @@ fn corruption_in_pruned_columns_is_invisible_and_in_required_columns_typed() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// One polygon pass per scan. For both variants (ε = 60 m plans the
+    /// bounded join, a sub-metre ε the accurate one; tiled scan canvases
+    /// are covered in `bounded.rs`), v1/v2/v3 files and odd chunk sizes: the streamed counts
+    /// equal the one-batch in-memory execution of the same plan, sums
+    /// agree with it within 1e-5 relative and are bitwise-equal across
+    /// pool widths {1, 2, 4} and the blocking mode, and `stats.passes`
+    /// is the canvas tile count (+1 outline pass for the accurate join),
+    /// however many chunks the scan took.
+    #[test]
+    fn scan_canvas_resolves_once_per_scan_for_both_variants(
+        seed in any::<u64>(),
+        npts in 6_000usize..8_000,
+        half_chunk in 75usize..400,
+        accurate in any::<bool>(),
+        fmt in 0u8..3,
+        with_pred in any::<bool>(),
+    ) {
+        let chunk = 2 * half_chunk + 1;
+        let extent = nyc_extent();
+        let polys = synthetic_polygons(7, &extent, seed);
+        let pts = TaxiModel::default().generate(npts, seed ^ 0x0CA5);
+        let fare = pts.attr_index("fare").unwrap();
+        let hour = pts.attr_index("hour").unwrap();
+        let mut q = Query::avg(fare).with_epsilon(if accurate { 0.5 } else { 60.0 });
+        if with_pred {
+            q = q.with_predicates(vec![Predicate::new(hour, CmpOp::Lt, 84.0)]);
+        }
+        let dev = Device::new(DeviceConfig::small(2_000 * PointTable::point_bytes(2), 2048));
+        let path = tmp(&format!("once-{seed:x}-{npts}-{chunk}-{fmt}"));
+        match fmt {
+            0 => write_table(&path, &pts).unwrap(),
+            1 => write_table_compressed_v2(&path, &pts, 1_100).unwrap(),
+            _ => write_table_compressed(&path, &pts, 1_100).unwrap(),
+        }
+        let mk = |w: usize| StreamingRasterJoin::new(w).with_chunk_rows(chunk);
+        let sig = |s: &StreamOutput| {
+            let d = s.plan.describe();
+            d[..d.rfind(", workers=").unwrap()].to_string()
+        };
+
+        let base = mk(1).execute(&path, &polys, &q, &dev).unwrap();
+        let want = if accurate { Variant::Accurate } else { Variant::Bounded };
+        prop_assert_eq!(base.plan.variant, want);
+        prop_assert!(base.chunks > 2, "{} chunks", base.chunks);
+        // The one-batch in-memory execution of the same plan.
+        let one_batch = Plan { batch_points: npts, ..base.plan };
+        let big = Device::new(DeviceConfig::small(npts * PointTable::point_bytes(2), 2048));
+        let reference = one_batch.execute(&pts, &polys, &q, &big);
+        prop_assert_eq!(reference.stats.batches, 1);
+        prop_assert_eq!(&base.output.counts, &reference.counts);
+        assert_sums_close(&base.output.sums, &reference.sums)?;
+        // Tiles (+ outline), independent of the chunk count.
+        prop_assert_eq!(base.output.stats.passes, reference.stats.passes);
+
+        for w in [2usize, 4] {
+            let pool = mk(w).execute(&path, &polys, &q, &dev).unwrap();
+            let blocking = mk(w).blocking().execute(&path, &polys, &q, &dev).unwrap();
+            prop_assert_eq!(sig(&pool), sig(&blocking));
+            prop_assert_eq!(&pool.output.counts, &blocking.output.counts, "width {}", w);
+            prop_assert_eq!(&pool.output.sums, &blocking.output.sums, "width {}", w);
+            prop_assert_eq!(pool.output.stats.passes, reference.stats.passes);
+            prop_assert_eq!(blocking.output.stats.passes, reference.stats.passes);
+            if sig(&pool) == sig(&base) {
+                prop_assert_eq!(&pool.output.counts, &base.output.counts, "width {}", w);
+                prop_assert_eq!(&pool.output.sums, &base.output.sums, "width {}", w);
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
